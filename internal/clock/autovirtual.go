@@ -174,8 +174,11 @@ func Fork(c Clock, n int) {
 
 // RegisterForked joins a goroutine announced by Fork, blocking until it is
 // granted the execution token. Announced registrants are held back until the
-// whole fork wave has arrived and then released in name order, so the OS
-// scheduling order of the spawned goroutines never leaks into the schedule.
+// whole fork wave has arrived and then released in name order at the next
+// scheduling point, behind every actor already queued for the token. The
+// wave therefore lands in the same place whether its last child registers
+// before or after the token holder wakes other actors, so the OS scheduling
+// order of the spawned goroutines never leaks into the schedule.
 func RegisterForked(c Clock, name string) Handle {
 	av, ok := c.(*AutoVirtual)
 	if !ok {
@@ -196,7 +199,6 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 		a.state = actorReady
 		core.arrivals = append(core.arrivals, a)
 		if core.forking == 0 {
-			core.flushArrivalsLocked()
 			core.kickLocked()
 		}
 		v.mu.Unlock()
@@ -220,7 +222,8 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 
 // flushArrivalsLocked releases a completed fork wave into the run queue in
 // name order. Actor names must therefore be unique within a wave for the
-// release order to be fully deterministic.
+// release order to be fully deterministic. Only scheduleLocked calls it, so
+// a wave is released at a scheduling point, never mid-turn.
 func (c *autoCore) flushArrivalsLocked() {
 	sort.Slice(c.arrivals, func(i, j int) bool { return c.arrivals[i].name < c.arrivals[j].name })
 	c.runq = append(c.runq, c.arrivals...)
@@ -254,8 +257,10 @@ func (c *autoCore) kickLocked() {
 	}
 }
 
-// scheduleLocked hands the token to the next ready actor. With no ready
-// actor and no pending fork, every registered actor is parked, so the clock
+// scheduleLocked hands the token to the next ready actor. While a fork wave
+// is still arriving it stays idle: the wave is released whole, after the
+// actors already queued, once its last child registers. With no ready actor
+// and no pending fork, every registered actor is parked, so the clock
 // advances to the earliest deadline and fires it; deadlines fire one at a
 // time so execution stays a single serial order even for timers sharing an
 // instant. An empty heap with parked actors is a deadlock.
@@ -264,6 +269,12 @@ func (c *autoCore) scheduleLocked() {
 		return
 	}
 	for {
+		if c.forking > 0 {
+			return // children on the way: release their wave whole
+		}
+		if len(c.arrivals) > 0 {
+			c.flushArrivalsLocked()
+		}
 		if len(c.runq) > 0 {
 			a := c.runq[0]
 			copy(c.runq, c.runq[1:])
@@ -274,8 +285,8 @@ func (c *autoCore) scheduleLocked() {
 			a.grant <- struct{}{}
 			return
 		}
-		if c.forking > 0 || len(c.actors) == 0 {
-			return // children on the way, or nothing registered: stay idle
+		if len(c.actors) == 0 {
+			return // nothing registered: stay idle
 		}
 		if !c.advanceLocked() {
 			c.deadlockLocked()

@@ -199,3 +199,76 @@ func TestAutoVirtualGroupJoin(t *testing.T) {
 		t.Fatal("Group.Wait did not return within 5s of wall time")
 	}
 }
+
+// TestForkWaveReleaseIgnoresRegistrationTiming pins the fork-wave release
+// point: a completed wave joins the run queue at the next scheduling point,
+// behind the actors already queued. Whether the OS runs the wave's last
+// child before or after the token holder wakes another actor must not
+// change the grant order.
+func TestForkWaveReleaseIgnoresRegistrationTiming(t *testing.T) {
+	run := func(childFirst bool) []string {
+		av := NewAutoVirtual()
+		var mu sync.Mutex
+		var order []string
+		record := func(name string) {
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+		}
+		awaitActors := func(n int) {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				av.mu.Lock()
+				got := len(av.auto.actors)
+				av.mu.Unlock()
+				if got == n {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d actors registered, want %d", got, n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		var wg sync.WaitGroup
+		wake := NewGate(av)
+
+		parent := Register(av, "parent") // sole actor: holds the token
+		Fork(av, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := RegisterForked(av, "waiter")
+			defer h.Close()
+			Await(av, wake)
+			record("waiter")
+		}()
+		av.Sleep(time.Millisecond) // the waiter runs and parks on the gate
+
+		Fork(av, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := RegisterForked(av, "child")
+			defer h.Close()
+			record("child")
+		}()
+		if childFirst {
+			awaitActors(3) // the wave completes while the parent holds the token
+			wake.Close()
+		} else {
+			wake.Close()
+			awaitActors(3)
+		}
+		parent.Close()
+		wg.Wait()
+		return order
+	}
+	before, after := run(true), run(false)
+	if fmt.Sprint(before) != fmt.Sprint(after) {
+		t.Fatalf("grant order depends on when the wave completed:\n wave before wake %v\n wave after wake  %v", before, after)
+	}
+	if want := "[waiter child]"; fmt.Sprint(before) != want {
+		t.Fatalf("grant order = %v, want %s (the queued waiter ahead of the wave)", before, want)
+	}
+}

@@ -99,12 +99,16 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 		t.Logf("%s DoNothing MTPS = %.2f (paper %.2f)", system, res.MTPS.Mean, cell.MTPS)
 		return res.MTPS.Mean
 	}
-	fabricTPS := measure(systems.NameFabric, fastOptions())
-	quorumTPS := measure(systems.NameQuorum, fastOptions())
-	// Sawtooth's drain is real-time-limited (~1s per 100-tx batch), so its
+	// Virtual time: the ordering is a property of the modeled systems, so
+	// a busy host must not be able to reorder them.
+	opts := fastOptions()
+	opts.Time = "virtual"
+	fabricTPS := measure(systems.NameFabric, opts)
+	quorumTPS := measure(systems.NameQuorum, opts)
+	// Sawtooth's drain is time-limited (~1s per 100-tx batch), so its
 	// window must cover several batch validations.
-	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1})
-	cordaOSTPS := measure(systems.NameCordaOS, fastOptions())
+	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1, Time: "virtual"})
+	cordaOSTPS := measure(systems.NameCordaOS, opts)
 
 	if fabricTPS <= quorumTPS {
 		t.Errorf("Fabric (%.1f) must beat Quorum (%.1f)", fabricTPS, quorumTPS)

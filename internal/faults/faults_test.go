@@ -318,6 +318,38 @@ func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
 	}
 }
 
+// TestInjectorNilTransportIsNoFabric: a driver that implements
+// TransportAccessor but returns a nil transport (Corda's node plane) gets
+// the fabric-less treatment — partitions still crash and heal its nodes,
+// link events are unrecorded no-ops, and nothing dereferences the nil
+// transport.
+func TestInjectorNilTransportIsNoFabric(t *testing.T) {
+	d := &transportStub{} // tr stays nil
+	d.nodes = 4
+	in := NewInjector(d, Schedule{}, clock.New())
+	for _, ev := range []Event{
+		{Kind: Partition, Group: []int{3}},
+		{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1},
+		{Kind: SlowNode, Node: 1, Extra: time.Millisecond},
+		{Kind: Heal},
+	} {
+		if err := in.Apply(ev); err != nil {
+			t.Fatalf("%v: %v", ev.Kind, err)
+		}
+	}
+	in.Stop()
+	var kinds []Kind
+	for _, a := range in.Applied() {
+		kinds = append(kinds, a.Event.Kind)
+	}
+	if len(kinds) != 2 || kinds[0] != Partition || kinds[1] != Heal {
+		t.Fatalf("applied = %v, want [Partition Heal]", kinds)
+	}
+	if got := d.callLog(); len(got) != 2 || got[0] != "crash:3" || got[1] != "restart:3" {
+		t.Fatalf("driver calls = %v, want [crash:3 restart:3]", got)
+	}
+}
+
 // TestInjectorStopRestoresHealth: Stop restarts everything the schedule
 // left broken, including transport degradations.
 func TestInjectorStopRestoresHealth(t *testing.T) {

@@ -12,11 +12,12 @@ import (
 
 // TransportAccessor is implemented by drivers whose nodes communicate over
 // a shared in-process network.Transport, giving the injector link-level
-// access for DegradeLink and SlowNode events. Drivers without a message
-// fabric (Corda's flows are synchronous calls) simply do not implement it,
-// and link events become no-ops for them.
+// access for DegradeLink and SlowNode events. A driver without a message
+// fabric (Corda's flows are synchronous calls) either does not implement it
+// or returns a nil transport; link events become no-ops for it either way.
 type TransportAccessor interface {
-	// FaultTransport returns the transport the system's nodes talk over.
+	// FaultTransport returns the transport the system's nodes talk over,
+	// or nil when they have none.
 	FaultTransport() *network.Transport
 	// NodeEndpoints returns the transport endpoints owned by node i (nil
 	// when the node has none).
@@ -168,12 +169,7 @@ func (in *Injector) Apply(ev Event) error {
 			}
 		}
 		in.partitioned = nil
-		if in.degraded {
-			if ta, ok := in.drv.(TransportAccessor); ok {
-				ta.FaultTransport().HealAll()
-			}
-			in.degraded = false
-		}
+		in.healLinks()
 	case DegradeLink:
 		if !in.degrade(ev) {
 			return nil // no message fabric: nothing was applied
@@ -198,11 +194,10 @@ func (in *Injector) Apply(ev Event) error {
 // endpoints. It reports whether the driver had a fabric to degrade.
 // Callers hold in.mu.
 func (in *Injector) degrade(ev Event) bool {
-	ta, ok := in.drv.(TransportAccessor)
-	if !ok {
+	ta, tr := in.fabric()
+	if tr == nil {
 		return false // no message fabric to degrade
 	}
-	tr := ta.FaultTransport()
 	all := tr.Endpoints()
 	targets := all
 	if len(ev.Group) > 0 {
@@ -255,12 +250,30 @@ func (in *Injector) restoreAll() {
 		_ = in.drv.RestartNode(node)
 		delete(in.crashed, node)
 	}
-	if in.degraded {
-		if ta, ok := in.drv.(TransportAccessor); ok {
-			ta.FaultTransport().HealAll()
-		}
-		in.degraded = false
+	in.healLinks()
+}
+
+// fabric returns the driver's transport accessor and message fabric; the
+// transport is nil when the driver has no fabric, whether it lacks the
+// accessor or its FaultTransport returns nil.
+func (in *Injector) fabric() (TransportAccessor, *network.Transport) {
+	ta, ok := in.drv.(TransportAccessor)
+	if !ok {
+		return nil, nil
 	}
+	return ta, ta.FaultTransport()
+}
+
+// healLinks clears every link degradation the injector applied. Callers
+// hold in.mu.
+func (in *Injector) healLinks() {
+	if !in.degraded {
+		return
+	}
+	if _, tr := in.fabric(); tr != nil {
+		tr.HealAll()
+	}
+	in.degraded = false
 }
 
 // Applied returns the events applied so far, in application order.

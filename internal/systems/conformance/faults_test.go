@@ -218,8 +218,8 @@ func TestFaultMatrixPartitionThenHeal(t *testing.T) {
 }
 
 // TestFaultHooksContract pins the crash/restart hook contract itself:
-// out-of-range indices error, double-crash and restart-without-crash are
-// harmless no-ops.
+// out-of-range indices error with ErrNodeDown (and have no WAL),
+// double-crash and restart-without-crash are harmless no-ops.
 func TestFaultHooksContract(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
@@ -234,6 +234,22 @@ func TestFaultHooksContract(t *testing.T) {
 			}
 			if err := d.CrashNode(-1); err == nil {
 				t.Fatal("CrashNode(-1) did not error")
+			}
+			n := d.NodeCount()
+			if err := d.CrashNode(n); !errors.Is(err, systems.ErrNodeDown) {
+				t.Fatalf("CrashNode(NodeCount()) = %v, want ErrNodeDown", err)
+			}
+			if err := d.RestartNode(n); !errors.Is(err, systems.ErrNodeDown) {
+				t.Fatalf("RestartNode(NodeCount()) = %v, want ErrNodeDown", err)
+			}
+			wa, ok := d.(faults.WALAccessor)
+			if !ok {
+				t.Fatalf("%s does not implement faults.WALAccessor", d.Name())
+			}
+			for _, i := range []int{-1, n} {
+				if log := wa.NodeWAL(i); log != nil {
+					t.Fatalf("NodeWAL(%d) = %v, want nil", i, log)
+				}
 			}
 			if err := d.CrashNode(0); err != nil {
 				t.Fatal(err)

@@ -156,18 +156,16 @@ type flowJob struct {
 
 // node is one Corda node.
 type node struct {
-	id      string
-	hubNode *systems.HubNode
-	vault   *chain.Vault
-	queue   *clock.Mailbox[flowJob]
-	gate    systems.DurableGate
+	systems.Node
+	vault *chain.Vault
+	queue *clock.Mailbox[flowJob]
 }
 
 // Network is a full Corda deployment (either edition).
 type Network struct {
+	systems.NodeSet
 	cfg Config
 
-	hub     *systems.Hub
 	nodes   []*node
 	notary  *notary.Service
 	signers map[string]*crypto.Identity
@@ -190,25 +188,25 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:       cfg,
-		hub:       systems.NewHub(cfg.Nodes),
 		notary:    notary.NewService("corda-notary"),
 		signers:   make(map[string]*crypto.Identity, cfg.Nodes),
 		conflicts: make(map[string]uint64),
 		wg:        clock.NewGroup(cfg.Clock),
 		stop:      clock.NewGate(cfg.Clock),
 	}
+	// Corda has no shared transport (latency is modeled point to point), so
+	// the plane's transport stays nil and link faults are no-ops.
+	n.NodeSet = systems.NewNodeSet(systems.NodeSetConfig{
+		System: cfg.Edition.String(), Size: cfg.Nodes, Clock: cfg.Clock,
+		WAL: cfg.WAL, Trace: cfg.Trace, MempoolDepth: n.flowBacklog,
+	})
 	for i := 0; i < cfg.Nodes; i++ {
 		id := fmt.Sprintf("corda-node-%d", i)
 		nd := &node{
-			id:      id,
-			hubNode: n.hub.Node(id),
-			vault:   chain.NewVault(),
-			queue:   clock.NewMailbox[flowJob](cfg.Clock, cfg.QueueDepth),
+			vault: chain.NewVault(),
+			queue: clock.NewMailbox[flowJob](cfg.Clock, cfg.QueueDepth),
 		}
-		if cfg.WAL != nil {
-			nd.gate.Enable(cfg.Clock, wal.New(id, *cfg.WAL, cfg.Clock))
-			nd.gate.Trace(cfg.Trace, cfg.Edition.String(), id)
-		}
+		n.AddNode(&nd.Node, id)
 		n.nodes = append(n.nodes, nd)
 		n.signers[id] = crypto.NewIdentity(id)
 	}
@@ -230,12 +228,6 @@ func NewEnterprise(cfg Config) *Network {
 // Name implements systems.Driver.
 func (n *Network) Name() string { return n.cfg.Edition.String() }
 
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Nodes }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
 	n.mu.Lock()
@@ -252,7 +244,7 @@ func (n *Network) Start() error {
 			nd, w := nd, w
 			n.wg.Add(1)
 			go func() {
-				h := clock.RegisterForked(n.cfg.Clock, "corda/"+nd.id+"/w"+strconv.Itoa(w))
+				h := clock.RegisterForked(n.cfg.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
 				defer h.Close()
 				defer n.wg.Done()
 				for {
@@ -293,7 +285,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	n.mu.Unlock()
 
 	nd := n.nodes[entryNode%len(n.nodes)]
-	if nd.gate.Down() {
+	if nd.Gate.Down() {
 		return systems.ErrNodeDown // the RPC connection is refused
 	}
 	if nd.queue.TrySend(flowJob{tx: tx}) {
@@ -335,7 +327,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	parties := make([]string, 0, len(n.nodes)-1)
 	for _, other := range n.nodes {
 		if other != entry {
-			parties = append(parties, other.id)
+			parties = append(parties, other.ID)
 		}
 	}
 	if k := n.cfg.RequiredSigners; k > 0 && k < len(parties) {
@@ -351,11 +343,11 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		// fails the whole flow, so one node outage halts all write flows —
 		// the flip side of the paper's §6 observation that requiring fewer
 		// signers is where Corda's scalability lies.
-		if p := n.nodeByID(party); p != nil && p.gate.Down() {
+		if p := n.nodeByID(party); p != nil && p.Gate.Down() {
 			return crypto.Signature{}, fmt.Errorf("corda: counterparty %s unreachable", party)
 		}
 		// One round trip to the counterparty plus its flow processing.
-		rtt := n.cfg.Latency.Delay(entry.id, party) + n.cfg.Latency.Delay(party, entry.id)
+		rtt := n.cfg.Latency.Delay(entry.ID, party) + n.cfg.Latency.Delay(party, entry.ID)
 		n.cfg.Clock.Sleep(rtt + n.cfg.SignProcessing)
 		return crypto.Signature{Signer: party, Bytes: n.signers[party].Sign(id.Bytes())}, nil
 	})
@@ -371,7 +363,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// Phase 3: notarise when the flow consumes states (§5.8.1: only
 	// state-consuming flows need the notary).
 	if utx != nil && len(utx.Inputs) > 0 {
-		rtt := n.cfg.Latency.Delay(entry.id, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.id)
+		rtt := n.cfg.Latency.Delay(entry.ID, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.ID)
 		n.cfg.Clock.Sleep(rtt)
 		if err := n.notary.Notarise(utx.ID, utx.Inputs); err != nil {
 			n.recordFailure(err) // double spend: flow fails, tx lost
@@ -405,7 +397,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		Stages:    &tx.Stages,
 	}
 	if readOnly || utx == nil {
-		n.hub.EmitDirect(ev, now)
+		n.Hub.EmitDirect(ev, now)
 		return
 	}
 	// One flow counts as one failure no matter how many vaults reject its
@@ -416,13 +408,13 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		nd := nd
 		if nd != entry {
 			// State distribution crosses the network once per node.
-			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.id, nd.id))
+			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.ID, nd.ID))
 		}
 		// A node that crashed between signing and finality receives the
 		// states when it restarts (Corda's message-queue redelivery). Each
 		// flow is one WAL record: Corda persists per transaction, not per
 		// block.
-		nd.gate.Commit(1, func() {
+		nd.Gate.Commit(1, func() {
 			if err := nd.vault.Apply(utx); err != nil {
 				if !failed.Swap(true) {
 					n.recordFailure(err)
@@ -432,7 +424,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 			// Vault apply is Corda's commit-time validation (the vault
 			// rejects already-consumed inputs); first node wins the mark.
 			tx.Stages.Mark(chain.StageValidate, n.cfg.Clock.Now())
-			nd.hubNode.Committed(ev, n.cfg.Clock.Now())
+			nd.HubNode.Committed(ev, n.cfg.Clock.Now())
 		})
 	}
 }
@@ -440,32 +432,10 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 // nodeByID resolves a node by its identity.
 func (n *Network) nodeByID(id string) *node {
 	for _, nd := range n.nodes {
-		if nd.id == id {
+		if nd.ID == id {
 			return nd
 		}
 	}
-	return nil
-}
-
-// CrashNode implements systems.Driver: the node refuses flow submissions
-// and signature requests; pending state distributions buffer until restart.
-// Because every flow needs every node's signature, one crashed node halts
-// all write flows network-wide.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the node applies the state
-// distributions it missed (message-queue redelivery) and resumes signing.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Restart()
 	return nil
 }
 
@@ -816,40 +786,14 @@ func (n *Network) LossStats() (dropped, timedOut, failed uint64) {
 	return n.dropped, n.timeout, n.failed
 }
 
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, the flow
-// mailboxes' backlog, and gate/WAL occupancy. Corda has no shared transport
-// (latency is modeled point-to-point), so NetPending stays zero.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{HubInflight: n.hub.PendingCount()}
+// flowBacklog is the flows waiting in the nodes' mailboxes.
+func (n *Network) flowBacklog() int {
+	depth := 0
 	for _, nd := range n.nodes {
-		qs.MempoolDepth += nd.queue.Len()
-		qs.GateBacklog += nd.gate.Backlog()
-		if log := nd.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += nd.queue.Len()
 	}
-	return qs
+	return depth
 }
 
 // VaultSize reports node i's unspent state count.
 func (n *Network) VaultSize(i int) int { return n.nodes[i%len(n.nodes)].vault.UnspentCount() }
-
-// NodeWAL implements faults.WALAccessor: node i's write-ahead log, or nil
-// when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.nodes) {
-		return nil
-	}
-	return n.nodes[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across nodes.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.nodes {
-		rs = rs.Add(n.nodes[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}

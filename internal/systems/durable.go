@@ -321,7 +321,7 @@ func (g *DurableGate) Stats() RecoveryStats {
 }
 
 // RecoveryStats aggregates the durability plane's cumulative counters,
-// summed by drivers across their node gates and folded by the benchmark
+// summed by the NodeSet across its nodes' gates and folded by the benchmark
 // runner into per-repetition deltas.
 type RecoveryStats struct {
 	// LogRecords/LogBytes count everything ever appended to the WALs.

@@ -23,7 +23,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
@@ -111,15 +110,6 @@ type cutBatch struct {
 	Cutter    string
 }
 
-// peer is one endorsing/committing peer.
-type peer struct {
-	id      string
-	hubNode *systems.HubNode
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	gate    systems.DurableGate
-}
-
 // orderer couples an ordering-backend handle with a block cutter. With the
 // Raft backend each orderer owns a Raft node; with Kafka they share the
 // broker and the ingress pools are unbounded (Kafka never sheds load).
@@ -131,14 +121,12 @@ type orderer struct {
 
 // Network is a full Fabric deployment.
 type Network struct {
+	systems.ChainSet
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	peers        []*peer
-	orderers     []*orderer
-	broker       *kafkaBroker
+	peers    []*systems.Node
+	orderers []*orderer
+	broker   *kafkaBroker
 
 	mu      sync.Mutex
 	running bool
@@ -153,38 +141,30 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Peers),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameFabric)
-		}
-	} else {
-		n.transport = cfg.Transport
-	}
-
-	for i := 0; i < cfg.Peers; i++ {
-		id := fmt.Sprintf("fabric-peer-%d", i)
-		p := &peer{
-			id:      id,
-			hubNode: n.hub.Node(id),
-			ledger:  chain.NewLedger("fabric"),
-			state:   statestore.NewKVStore(),
-		}
-		if cfg.WAL != nil {
-			p.gate.Enable(cfg.Clock, wal.New(id, *cfg.WAL, cfg.Clock))
-			p.gate.Trace(cfg.Trace, systems.NameFabric, id)
-		}
-		n.peers = append(n.peers, p)
-	}
+	n.ChainSet = systems.NewChainSet("fabric", systems.NodeSetConfig{
+		System: systems.NameFabric, Size: cfg.Peers, Clock: cfg.Clock,
+		Transport: cfg.Transport, WAL: cfg.WAL, Trace: cfg.Trace,
+		MempoolDepth: n.ordererBacklog,
+	})
 
 	ordererIDs := make([]string, cfg.Orderers)
 	for i := range ordererIDs {
 		ordererIDs[i] = fmt.Sprintf("fabric-orderer-%d", i)
+	}
+	// The paper co-locates orderer i on server i (Table 4: orderers on
+	// servers 1-3), so peer i's server owns orderer i's endpoint; peers
+	// themselves commit via the ordering stream, not peer-to-peer links.
+	for i := 0; i < cfg.Peers; i++ {
+		p := &systems.Node{}
+		var endpoints []string
+		if i < cfg.Orderers {
+			endpoints = []string{ordererIDs[i]}
+		}
+		n.AddNode(p, fmt.Sprintf("fabric-peer-%d", i), endpoints...)
+		n.peers = append(n.peers, p)
 	}
 	if cfg.Ordering == OrderingKafka {
 		n.broker = newKafkaBroker(cfg.Clock, cfg.KafkaOverhead, n.makeDecideFunc(0))
@@ -204,7 +184,7 @@ func New(cfg Config) *Network {
 		o.node = raft.New(raft.Config{
 			ID:        o.id,
 			Peers:     ordererIDs,
-			Transport: n.transport,
+			Transport: n.Transport,
 			Clock:     cfg.Clock,
 			OnDecide:  n.makeDecideFunc(i),
 			Seed:      int64(i + 1),
@@ -216,12 +196,6 @@ func New(cfg Config) *Network {
 
 // Name implements systems.Driver.
 func (n *Network) Name() string { return systems.NameFabric }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Peers }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
 
 // Start implements systems.Driver.
 func (n *Network) Start() error {
@@ -270,9 +244,7 @@ func (n *Network) Stop() {
 			o.node.Stop()
 		}
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.StopTransport()
 }
 
 // Submit implements systems.Driver: the entry peer endorses (executes) the
@@ -288,7 +260,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	n.mu.Unlock()
 
 	p := n.peers[entryNode%len(n.peers)]
-	if p.gate.Down() {
+	if p.Gate.Down() {
 		return systems.ErrNodeDown // the client's endorsement RPC fails
 	}
 	env := n.endorse(p, tx)
@@ -306,9 +278,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // endorse simulates the chaincode execution phase on the entry peer,
 // producing a read-write set against its current world state.
-func (n *Network) endorse(p *peer, tx *chain.Transaction) envelope {
+func (n *Network) endorse(p *systems.Node, tx *chain.Transaction) envelope {
 	rw := statestore.NewRWSet()
-	recorder := &rwRecorder{rw: rw, state: p.state}
+	recorder := &rwRecorder{rw: rw, state: p.State}
 	for _, op := range tx.Ops {
 		// Endorsement failures still produce an envelope: Fabric orders
 		// whatever was endorsed and settles validity at commit.
@@ -440,26 +412,26 @@ func (n *Network) commitBlock(seq uint64, batch cutBatch) {
 	}
 	for _, p := range n.peers {
 		p := p
-		p.gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch) })
+		p.Gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch) })
 	}
 }
 
 // commitOnPeer applies one decided batch on a single peer.
-func (n *Network) commitOnPeer(p *peer, batch cutBatch) {
+func (n *Network) commitOnPeer(p *systems.Node, batch cutBatch) {
 	txs := make([]*chain.Transaction, len(batch.Envelopes))
 	for i, env := range batch.Envelopes {
 		txs[i] = env.Tx
 	}
-	blk := chain.NewBlock(p.ledger.Head(), batch.Cutter, batch.CutAt, txs)
-	if err := p.ledger.Append(blk); err != nil {
+	blk := chain.NewBlock(p.Ledger.Head(), batch.Cutter, batch.CutAt, txs)
+	if err := p.Ledger.Append(blk); err != nil {
 		return // stale duplicate
 	}
 	eventsLost := n.cfg.EventLossAtPeers > 0 && n.cfg.Peers >= n.cfg.EventLossAtPeers
 	now := n.cfg.Clock.Now()
 	for txNum, env := range batch.Envelopes {
-		validErr := env.RWSet.Validate(p.state)
+		validErr := env.RWSet.Validate(p.State)
 		if validErr == nil {
-			env.RWSet.Commit(p.state, statestore.Version{BlockNum: blk.Number, TxNum: txNum})
+			env.RWSet.Commit(p.State, statestore.Version{BlockNum: blk.Number, TxNum: txNum})
 		}
 		// First-write-wins: the fastest peer's validation instant counts,
 		// and a crashed peer's gate-buffered replay cannot overwrite it.
@@ -480,125 +452,20 @@ func (n *Network) commitOnPeer(p *peer, batch cutBatch) {
 			ev.Reason = validErr.Error()
 			ev.Code = systems.ClassifyAbort(validErr)
 		}
-		p.hubNode.Committed(ev, now)
+		p.HubNode.Committed(ev, now)
 	}
 }
-
-// Preload implements systems.Preloader: the operations are applied directly
-// to every peer's world state at version 0 (the YCSB load-phase analogue),
-// so contention workloads start from a materialized shared key space. The
-// identical version on every peer keeps later MVCC validation consistent.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, p := range n.peers {
-		a := &preloadState{state: p.state}
-		for i, op := range ops {
-			a.txNum = i
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("fabric preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// preloadState adapts direct KVStore writes to iel.StateOps at version
-// {0, txNum}.
-type preloadState struct {
-	state *statestore.KVStore
-	txNum int
-}
-
-var _ iel.StateOps = (*preloadState)(nil)
-
-func (a *preloadState) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *preloadState) Put(key, value string) {
-	a.state.Set(key, value, statestore.Version{TxNum: a.txNum})
-}
-
-// CrashNode implements systems.Driver: the peer stops committing blocks and
-// rejects endorsement requests; decided blocks buffer for catch-up.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.peers) {
-		return fmt.Errorf("%w: peer %d of %d", systems.ErrNodeDown, node, len(n.peers))
-	}
-	n.peers[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the peer replays the blocks it
-// missed (Fabric's deliver-service catch-up) and resumes committing.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.peers) {
-		return fmt.Errorf("%w: peer %d of %d", systems.ErrNodeDown, node, len(n.peers))
-	}
-	n.peers[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: peer i's write-ahead log, or nil
-// when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.peers) {
-		return nil
-	}
-	return n.peers[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across peers.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.peers {
-		rs = rs.Add(n.peers[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps node (server) index i to its transport endpoints. The
-// paper co-locates orderer i on server i (Table 4: orderers on servers
-// 1-3); peers themselves commit via the ordering stream rather than
-// peer-to-peer links.
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.orderers) {
-		return nil
-	}
-	return []string{n.orderers[node].id}
-}
-
-// LedgerHead returns peer i's chain head hash (for convergence checks).
-func (n *Network) LedgerHead(i int) crypto.Hash { return n.peers[i%len(n.peers)].ledger.Head().Hash }
 
 // PeerHeight reports peer 0's chain height (for tests and examples).
-func (n *Network) PeerHeight() uint64 { return n.peers[0].ledger.Height() }
+func (n *Network) PeerHeight() uint64 { return n.peers[0].Ledger.Height() }
 
-// WorldState exposes peer i's world state for verification in tests.
-func (n *Network) WorldState(i int) *statestore.KVStore { return n.peers[i%len(n.peers)].state }
-
-// QueueSnapshot implements systems.QueueReporter: the hub's in-flight
-// count, orderer ingress depth, and the peers' gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// ordererBacklog is the envelopes waiting in the orderers' ingress queues.
+func (n *Network) ordererBacklog() int {
+	depth := 0
 	for _, o := range n.orderers {
-		qs.MempoolDepth += o.ingress.Len()
+		depth += o.ingress.Len()
 	}
-	for _, p := range n.peers {
-		qs.GateBacklog += p.gate.Backlog()
-		if log := p.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
-	}
-	return qs
+	return depth
 }
 
 // OrdererStats reports admitted/rejected envelope counts across orderers.

@@ -89,13 +89,9 @@ type producedBlock struct {
 
 // validator is one Quorum node.
 type validator struct {
-	id      string
-	hubNode *systems.HubNode
-	engine  *ibft.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	pool    *mempool.Pool[*chain.Transaction]
-	gate    systems.DurableGate
+	systems.Node
+	engine *ibft.Engine
+	pool   *mempool.Pool[*chain.Transaction]
 
 	mu      sync.Mutex
 	seen    map[crypto.Hash]bool
@@ -104,12 +100,10 @@ type validator struct {
 
 // Network is a full Quorum deployment.
 type Network struct {
+	systems.ChainSet
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	validators   []*validator
+	validators []*validator
 
 	mu      sync.Mutex
 	running bool
@@ -124,19 +118,14 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Validators),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameQuorum)
-		}
-	} else {
-		n.transport = cfg.Transport
-	}
+	n.ChainSet = systems.NewChainSet("quorum", systems.NodeSetConfig{
+		System: systems.NameQuorum, Size: cfg.Validators, Clock: cfg.Clock,
+		Transport: cfg.Transport, WAL: cfg.WAL, Trace: cfg.Trace,
+		MempoolDepth: n.poolBacklog,
+	})
 
 	names := make([]string, cfg.Validators)
 	for i := range names {
@@ -144,21 +133,15 @@ func New(cfg Config) *Network {
 	}
 	for i := 0; i < cfg.Validators; i++ {
 		v := &validator{
-			id:      names[i],
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("quorum"),
-			state:   statestore.NewKVStore(),
-			pool:    mempool.NewUnbounded[*chain.Transaction](),
-			seen:    make(map[crypto.Hash]bool),
+			pool: mempool.NewUnbounded[*chain.Transaction](),
+			seen: make(map[crypto.Hash]bool),
 		}
-		if cfg.WAL != nil {
-			v.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			v.gate.Trace(cfg.Trace, systems.NameQuorum, names[i])
-		}
+		// IBFT plus a dedicated tx-gossip endpoint.
+		n.AddNode(&v.Node, names[i], names[i], gossipEndpoint(names[i]))
 		v.engine = ibft.New(ibft.Config{
-			ID:         v.id,
+			ID:         v.ID,
 			Validators: names,
-			Transport:  n.transport,
+			Transport:  n.Transport,
 			Clock:      cfg.Clock,
 			OnDecide:   n.makeDecideFunc(v),
 			Digest: func(p any) crypto.Hash {
@@ -188,12 +171,6 @@ func New(cfg Config) *Network {
 // Name implements systems.Driver.
 func (n *Network) Name() string { return systems.NameQuorum }
 
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Validators }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
 	n.mu.Lock()
@@ -207,9 +184,9 @@ func (n *Network) Start() error {
 	for i, v := range n.validators {
 		// Gossip endpoints piggyback on the IBFT transport registration;
 		// use a dedicated endpoint per validator for tx gossip.
-		gossipID := gossipEndpoint(v.id)
+		gossipID := gossipEndpoint(v.ID)
 		v := v
-		n.transport.Register(gossipID, func(m network.Message) {
+		n.Transport.Register(gossipID, func(m network.Message) {
 			tx, ok := m.Payload.(*chain.Transaction)
 			if !ok {
 				return
@@ -238,11 +215,9 @@ func (n *Network) Stop() {
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(gossipEndpoint(v.id))
+		n.Transport.Unregister(gossipEndpoint(v.ID))
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.StopTransport()
 }
 
 func gossipEndpoint(id string) string { return id + "-gossip" }
@@ -260,7 +235,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	n.mu.Unlock()
 
 	v := n.validators[entryNode%len(n.validators)]
-	if v.gate.Down() {
+	if v.Gate.Down() {
 		return systems.ErrNodeDown // the client's RPC node is unreachable
 	}
 	n.admit(v, tx)
@@ -268,7 +243,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(gossipEndpoint(v.id), gossipEndpoint(other.id), "quorum.tx", tx)
+		_ = n.Transport.Send(gossipEndpoint(v.ID), gossipEndpoint(other.ID), "quorum.tx", tx)
 	}
 	return nil
 }
@@ -330,7 +305,7 @@ func (n *Network) produce(v *validator) {
 	if !stalled {
 		txs = v.pool.Take(n.cfg.MaxBlockTxs)
 	}
-	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.id}
+	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.ID}
 	if err := v.engine.Submit(blk); err != nil {
 		if !stalled {
 			// Requeue so the next period retries.
@@ -356,7 +331,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 		if blk, ok := d.Payload.(producedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
 	}
 }
 
@@ -367,8 +342,8 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	// Execute after ordering against this validator's own state; all
 	// validators execute identically in block order.
-	cb := chain.NewBlock(v.ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
-	if err := v.ledger.Append(cb); err != nil {
+	cb := chain.NewBlock(v.Ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
+	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
 	now := n.cfg.Clock.Now()
@@ -380,7 +355,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	for txNum, tx := range blk.Txs {
 		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := executeTx(tx, v.state, cb.Number, txNum)
+		execErr := executeTx(tx, v.State, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
@@ -395,7 +370,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			ev.Reason = execErr.Error()
 			ev.Code = systems.ClassifyAbort(execErr)
 		}
-		v.hubNode.Committed(ev, now)
+		v.HubNode.Committed(ev, now)
 	}
 	// Remove included txs from the local pool (they may still be queued
 	// on validators that did not produce the block).
@@ -421,40 +396,10 @@ func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
 
 // executeTx runs all operations of a transaction against the world state.
 func executeTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) error {
-	ops := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+	ops := &systems.KVOps{State: st, Ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
 	for _, op := range tx.Ops {
 		if err := iel.Execute(op, ops); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// kvAdapter adapts KVStore to iel.StateOps at a fixed version.
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every validator's world state at version 0, materializing shared key
-// spaces and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, v := range n.validators {
-		for i, op := range ops {
-			a := &kvAdapter{state: v.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("quorum preload op %d: %w", i, err)
-			}
 		}
 	}
 	return nil
@@ -476,101 +421,18 @@ func (n *Network) Stalled() bool {
 // Drained implements systems.Quiescer: every pool is empty, or the
 // livelock has latched (in which case the backlog will never drain and
 // waiting longer is pointless).
-func (n *Network) Drained() bool {
-	if n.Stalled() {
-		return true
-	}
-	for _, v := range n.validators {
-		if v.pool.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *Network) Drained() bool { return n.Stalled() || n.poolBacklog() == 0 }
 
 // ChainHeight reports validator 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.validators[0].ledger.Height() }
+func (n *Network) ChainHeight() uint64 { return n.validators[0].Ledger.Height() }
 
-// WorldState exposes validator i's state for test verification.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.validators[i%len(n.validators)].state
-}
-
-// CrashNode implements systems.Driver: the validator's commit plane stops
-// and its RPC endpoint rejects submissions; decided blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the validator replays the blocks
-// it missed in decision order (geth's chain download on rejoin) and
-// resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: validator i's write-ahead log, or
-// nil when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return n.validators[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across validators.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.validators {
-		rs = rs.Add(n.validators[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps validator i to its transport endpoints (IBFT plus tx
-// gossip).
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	id := n.validators[node].id
-	return []string{id, gossipEndpoint(id)}
-}
-
-// LedgerHead returns validator i's chain head hash (for convergence
-// checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.validators[i%len(n.validators)].ledger.Head().Hash
-}
-
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, pool
-// backlog summed across validators, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// poolBacklog is the pending transactions summed across validator pools.
+func (n *Network) poolBacklog() int {
+	depth := 0
 	for _, v := range n.validators {
-		qs.MempoolDepth += v.pool.Len()
-		qs.GateBacklog += v.gate.Backlog()
-		if log := v.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += v.pool.Len()
 	}
-	return qs
+	return depth
 }
 
 // PoolDepth reports the deepest validator pool backlog.

@@ -181,10 +181,10 @@ func TestLedgersConverge(t *testing.T) {
 	// All validators eventually hold identical chains.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		h := n.validators[0].ledger.Height()
+		h := n.validators[0].Ledger.Height()
 		same := true
 		for _, v := range n.validators[1:] {
-			if v.ledger.Height() < h {
+			if v.Ledger.Height() < h {
 				same = false
 			}
 		}
@@ -194,7 +194,7 @@ func TestLedgersConverge(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, v := range n.validators {
-		if err := v.ledger.Verify(); err != nil {
+		if err := v.Ledger.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -94,13 +94,9 @@ type publishedBlock struct {
 
 // validator is one Sawtooth node.
 type validator struct {
-	id      string
-	hubNode *systems.HubNode
-	engine  *pbft.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	queue   *mempool.Pool[*chain.Batch]
-	gate    systems.DurableGate
+	systems.Node
+	engine *pbft.Engine
+	queue  *mempool.Pool[*chain.Batch]
 
 	mu   sync.Mutex
 	seen map[crypto.Hash]bool
@@ -108,12 +104,10 @@ type validator struct {
 
 // Network is a full Sawtooth deployment.
 type Network struct {
+	systems.ChainSet
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	validators   []*validator
+	validators []*validator
 
 	mu      sync.Mutex
 	running bool
@@ -132,19 +126,14 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Validators),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameSawtooth)
-		}
-	} else {
-		n.transport = cfg.Transport
-	}
+	n.ChainSet = systems.NewChainSet("sawtooth", systems.NodeSetConfig{
+		System: systems.NameSawtooth, Size: cfg.Validators, Clock: cfg.Clock,
+		Transport: cfg.Transport, WAL: cfg.WAL, Trace: cfg.Trace,
+		MempoolDepth: n.queueBacklog,
+	})
 
 	names := make([]string, cfg.Validators)
 	for i := range names {
@@ -152,21 +141,15 @@ func New(cfg Config) *Network {
 	}
 	for i := 0; i < cfg.Validators; i++ {
 		v := &validator{
-			id:      names[i],
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("sawtooth"),
-			state:   statestore.NewKVStore(),
-			queue:   mempool.NewBounded[*chain.Batch](cfg.QueueDepth),
-			seen:    make(map[crypto.Hash]bool),
+			queue: mempool.NewBounded[*chain.Batch](cfg.QueueDepth),
+			seen:  make(map[crypto.Hash]bool),
 		}
-		if cfg.WAL != nil {
-			v.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			v.gate.Trace(cfg.Trace, systems.NameSawtooth, names[i])
-		}
+		// PBFT plus a dedicated batch-gossip endpoint.
+		n.AddNode(&v.Node, names[i], names[i], gossipEndpoint(names[i]))
 		v.engine = pbft.New(pbft.Config{
-			ID:        v.id,
+			ID:        v.ID,
 			Replicas:  names,
-			Transport: n.transport,
+			Transport: n.Transport,
 			Clock:     cfg.Clock,
 			OnDecide:  n.makeDecideFunc(v),
 			Digest: func(p any) crypto.Hash {
@@ -196,12 +179,6 @@ func New(cfg Config) *Network {
 // Name implements systems.Driver.
 func (n *Network) Name() string { return systems.NameSawtooth }
 
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Validators }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
 	n.mu.Lock()
@@ -214,7 +191,7 @@ func (n *Network) Start() error {
 
 	for i, v := range n.validators {
 		v := v
-		n.transport.Register(gossipEndpoint(v.id), func(m network.Message) {
+		n.Transport.Register(gossipEndpoint(v.ID), func(m network.Message) {
 			b, ok := m.Payload.(*chain.Batch)
 			if !ok {
 				return
@@ -243,11 +220,9 @@ func (n *Network) Stop() {
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(gossipEndpoint(v.id))
+		n.Transport.Unregister(gossipEndpoint(v.ID))
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.StopTransport()
 }
 
 func gossipEndpoint(id string) string { return id + "-gossip" }
@@ -271,7 +246,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 	n.mu.Unlock()
 
 	v := n.validators[entryNode%len(n.validators)]
-	if v.gate.Down() {
+	if v.Gate.Down() {
 		return systems.ErrNodeDown // the client's REST endpoint is unreachable
 	}
 	v.mu.Lock()
@@ -295,7 +270,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(gossipEndpoint(v.id), gossipEndpoint(other.id), "sawtooth.batch", b)
+		_ = n.Transport.Send(gossipEndpoint(v.ID), gossipEndpoint(other.ID), "sawtooth.batch", b)
 	}
 	return nil
 }
@@ -341,7 +316,7 @@ func (n *Network) publishLoop() {
 				blk := publishedBlock{
 					Batches:     batches,
 					PublishedAt: n.cfg.Clock.Now(),
-					Publisher:   v.id,
+					Publisher:   v.ID,
 				}
 				if err := v.engine.Submit(blk); err != nil {
 					for _, b := range batches {
@@ -373,7 +348,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 				txs += len(b.Txs)
 			}
 		}
-		v.gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
 	}
 }
 
@@ -393,7 +368,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	var surviving []*chain.Transaction
 	var survivingBatches []*chain.Batch
 	for _, b := range blk.Batches {
-		if batchExecutes(b, v.state) {
+		if batchExecutes(b, v.State) {
 			surviving = append(surviving, b.Txs...)
 			survivingBatches = append(survivingBatches, b)
 		} else if v == n.validators[0] {
@@ -404,8 +379,8 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			}
 		}
 	}
-	cb := chain.NewBlock(v.ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
-	if err := v.ledger.Append(cb); err != nil {
+	cb := chain.NewBlock(v.Ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
+	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
 	// One consensus-round span per sampled block, emitted at validator 0's
@@ -417,9 +392,9 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	now := n.cfg.Clock.Now()
 	for txNum, batch := range survivingBatches {
 		for _, tx := range batch.Txs {
-			applyTx(tx, v.state, cb.Number, txNum)
+			applyTx(tx, v.State, cb.Number, txNum)
 			tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
-			v.hubNode.Committed(systems.Event{
+			v.HubNode.Committed(systems.Event{
 				TxID:      tx.ID,
 				Client:    tx.Client,
 				Committed: true,
@@ -436,7 +411,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 // batchExecutes dry-runs a batch against a copy-on-read overlay of the
 // state and reports whether every member transaction succeeds.
 func batchExecutes(b *chain.Batch, st *statestore.KVStore) bool {
-	overlay := &overlayState{base: st, writes: make(map[string]string)}
+	overlay := systems.NewOverlay(st)
 	for _, tx := range b.Txs {
 		for _, op := range tx.Ops {
 			if err := iel.Execute(op, overlay); err != nil {
@@ -449,7 +424,7 @@ func batchExecutes(b *chain.Batch, st *statestore.KVStore) bool {
 
 // applyTx commits a transaction's writes to the world state.
 func applyTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) {
-	a := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+	a := &systems.KVOps{State: st, Ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
 	for _, op := range tx.Ops {
 		_ = iel.Execute(op, a)
 	}
@@ -468,123 +443,16 @@ func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
 	}
 }
 
-// overlayState reads through to the base store but keeps writes local.
-type overlayState struct {
-	base   *statestore.KVStore
-	writes map[string]string
-}
-
-var _ iel.StateOps = (*overlayState)(nil)
-
-func (o *overlayState) Get(key string) (string, bool) {
-	if v, ok := o.writes[key]; ok {
-		return v, true
-	}
-	v, ok := o.base.Get(key)
-	return v.Value, ok
-}
-
-func (o *overlayState) Put(key, value string) { o.writes[key] = value }
-
-// kvAdapter adapts KVStore to iel.StateOps at a fixed version.
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
-
-// CrashNode implements systems.Driver: the validator's commit plane stops
-// and its REST endpoint rejects batches; decided blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the validator replays the blocks
-// it missed in decision order (Sawtooth's catch-up) and resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: validator i's write-ahead log, or
-// nil when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return n.validators[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across validators.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.validators {
-		rs = rs.Add(n.validators[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps validator i to its transport endpoints (PBFT plus
-// batch gossip).
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	id := n.validators[node].id
-	return []string{id, gossipEndpoint(id)}
-}
-
-// LedgerHead returns validator i's chain head hash (for convergence
-// checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.validators[i%len(n.validators)].ledger.Head().Hash
-}
-
 // Drained implements systems.Quiescer: all validator queues are empty.
-func (n *Network) Drained() bool {
-	for _, v := range n.validators {
-		if v.queue.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *Network) Drained() bool { return n.queueBacklog() == 0 }
 
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, batch
-// queue backlog summed across validators, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// queueBacklog is the batches waiting in the validators' queues.
+func (n *Network) queueBacklog() int {
+	depth := 0
 	for _, v := range n.validators {
-		qs.MempoolDepth += v.queue.Len()
-		qs.GateBacklog += v.gate.Backlog()
-		if log := v.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += v.queue.Len()
 	}
-	return qs
+	return depth
 }
 
 // QueueStats aggregates admission counters across validators.
@@ -598,27 +466,7 @@ func (n *Network) QueueStats() (admitted, rejected uint64) {
 }
 
 // ChainHeight reports validator 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.validators[0].ledger.Height() }
-
-// WorldState exposes validator i's state.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.validators[i%len(n.validators)].state
-}
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every validator's world state at version 0, materializing shared key
-// spaces and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, v := range n.validators {
-		for i, op := range ops {
-			a := &kvAdapter{state: v.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("sawtooth preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
+func (n *Network) ChainHeight() uint64 { return n.validators[0].Ledger.Height() }
 
 // ConflictCounts implements systems.ConflictReporter: payload operations
 // lost to the atomic batch discard ("if a transaction fails within a batch,
