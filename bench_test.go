@@ -239,7 +239,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 // Enterprise) signature collection latency across 4..32 parties.
 func BenchmarkAblationSigning(b *testing.B) {
 	delay := 500 * time.Microsecond
-	sign := func(party string, _ crypto.Hash) (crypto.Signature, error) {
+	sign := func(_ clock.Handle, party string, _ crypto.Hash) (crypto.Signature, error) {
 		time.Sleep(delay)
 		return crypto.Signature{Signer: party}, nil
 	}
@@ -250,14 +250,14 @@ func BenchmarkAblationSigning(b *testing.B) {
 		}
 		b.Run("serial/"+strconv.Itoa(parties), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := notary.CollectSignatures(clock.New(), notary.Serial, names, crypto.SumString("tx"), sign); err != nil {
+				if _, err := notary.CollectSignatures(clock.New(), clock.Handle{}, notary.Serial, names, crypto.SumString("tx"), sign); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("parallel/"+strconv.Itoa(parties), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := notary.CollectSignatures(clock.New(), notary.Parallel, names, crypto.SumString("tx"), sign); err != nil {
+				if _, err := notary.CollectSignatures(clock.New(), clock.Handle{}, notary.Parallel, names, crypto.SumString("tx"), sign); err != nil {
 					b.Fatal(err)
 				}
 			}

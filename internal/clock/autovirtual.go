@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -26,16 +25,20 @@ func Walltime() time.Time { return time.Now() }
 // participating in a run register as actors; the clock hands an execution
 // token to exactly one actor at a time, so the whole simulation executes as
 // one deterministic serial order. When every actor is parked in a blocking
-// primitive (Await, Sleep, Mailbox.Send, Group.Wait) the clock jumps
-// atomically to the earliest pending deadline — no polling, no wall-clock
-// sleeps. If every actor is parked and no deadline remains, the run cannot
-// ever make progress and the clock fails loudly with the parked-actor list.
+// primitive (Handle.Await, Handle.Sleep, Mailbox.Send, Group.Wait) the clock
+// jumps atomically to the earliest pending deadline — no polling, no
+// wall-clock sleeps. If every actor is parked and no deadline remains, the
+// run cannot ever make progress and the clock fails loudly with the
+// parked-actor list.
 //
 // The contract actors must keep: every potentially blocking operation goes
-// through the clock-aware primitives. An actor that blocks on a bare
-// channel while holding the token freezes the whole clock (undetectably),
-// which is exactly the bug the wall-clock lint and the deadlock detector
-// exist to keep out of the tree.
+// through the clock-aware primitives, called with the actor's own Handle.
+// The handle is the caller's identity: the scheduler knows which actor
+// holds the token, so each primitive checks the handle against it with one
+// pointer compare. An actor that blocks on a bare channel while holding the
+// token freezes the whole clock (undetectably), which is exactly the bug
+// the wall-clock lint and the deadlock detector exist to keep out of the
+// tree.
 type AutoVirtual struct {
 	*Virtual
 }
@@ -49,27 +52,19 @@ func NewAutoVirtual() *AutoVirtual {
 	v.auto = &autoCore{
 		v:      v,
 		actors: make(map[*Actor]struct{}),
-		goids:  make(map[int64]*Actor),
 	}
 	return &AutoVirtual{Virtual: v}
 }
 
-// Sleep implements Clock: the calling actor parks until the clock reaches
-// the deadline. A non-actor caller is registered as a transient actor for
-// the duration of the sleep, so tests can sleep on the simulated clock
-// without joining a run explicitly.
+// Sleep is unsupported on AutoVirtual: the clock cannot tell which actor
+// is calling. Use the actor's Handle.Sleep instead.
 func (av *AutoVirtual) Sleep(d time.Duration) {
-	if av.callerActor() == nil {
-		h := Register(av, "sleeper")
-		defer h.Close()
-	}
-	t := av.NewTimer(d)
-	Await(av, t)
+	panic("clock: AutoVirtual.Sleep has no caller identity; use Handle.Sleep")
 }
 
 // After is unsupported on AutoVirtual: a bare channel receive blocks the
 // holding actor without parking it, freezing the clock. Use NewTimer with
-// Await (or Sleep) instead.
+// Handle.Await (or Handle.Sleep) instead.
 func (av *AutoVirtual) After(d time.Duration) <-chan time.Time {
 	panic("clock: AutoVirtual.After would block without parking; use NewTimer + Await")
 }
@@ -80,16 +75,6 @@ func (av *AutoVirtual) SetDeadlockHandler(fn func(msg string)) {
 	av.mu.Lock()
 	av.auto.onDeadlock = fn
 	av.mu.Unlock()
-}
-
-// callerActor resolves the calling goroutine's registered actor, nil if
-// unregistered.
-func (av *AutoVirtual) callerActor() *Actor {
-	id := goid()
-	av.mu.Lock()
-	a := av.auto.goids[id]
-	av.mu.Unlock()
-	return a
 }
 
 // autoOf extracts the auto-advancing core from a clock; ok is false for
@@ -114,7 +99,6 @@ const (
 type Actor struct {
 	v         *Virtual
 	name      string
-	gid       int64
 	state     actorState
 	grant     chan struct{}
 	waiterSeq int64 // per-actor timer creation counter (tie-break identity)
@@ -123,20 +107,27 @@ type Actor struct {
 // autoCore is the cooperative scheduler behind AutoVirtual. All fields are
 // guarded by the owning Virtual's mutex.
 type autoCore struct {
-	v       *Virtual
-	actors  map[*Actor]struct{}
-	goids   map[int64]*Actor
-	current  *Actor   // token holder, nil while idle or advancing
-	runq     []*Actor // FIFO of actors ready for the token
-	forking  int      // children announced by Fork but not yet registered
-	arrivals []*Actor // registered fork-wave children awaiting release
-	dead    bool
+	v          *Virtual
+	actors     map[*Actor]struct{}
+	current    *Actor   // token holder, nil while idle or advancing
+	runq       []*Actor // FIFO of actors ready for the token
+	forking    int      // children announced by Fork but not yet registered
+	arrivals   []*Actor // registered fork-wave children awaiting release
+	dead       bool
 	onDeadlock func(msg string)
 }
 
-// Handle identifies one registered actor. The zero Handle (returned for
-// non-auto clocks) is a no-op.
-type Handle struct{ a *Actor }
+// Handle is a registered caller's identity, and every primitive that can
+// park takes it: Await, Sleep, Mailbox.Send and Group.Wait. Under
+// AutoVirtual it names the actor, and each primitive panics unless that
+// actor holds the execution token. On Real and plain Virtual clocks it
+// carries the clock and the primitives block on channels. The zero Handle
+// has neither: it may Await Real and plain Virtual sources, panics on
+// AutoVirtual ones and cannot Sleep.
+type Handle struct {
+	a *Actor // AutoVirtual only
+	c Clock  // Real and plain Virtual only
+}
 
 // Close detaches the actor from the clock and releases the execution token.
 // It must be the goroutine's final interaction with the clock.
@@ -148,13 +139,14 @@ func (h Handle) Close() {
 
 // Register joins the calling goroutine to the clock's schedule under the
 // given name, blocking until it is granted the execution token. On real and
-// plain-virtual clocks it is a no-op. Names feed the deterministic timer
-// tie-break and the deadlock diagnostics, so they must be derived from
-// stable identities (node IDs, shard indices), never from creation order.
+// plain-virtual clocks it only binds the handle to the clock. Names feed the
+// deterministic timer tie-break and the deadlock diagnostics, so they must
+// be derived from stable identities (node IDs, shard indices), never from
+// creation order.
 func Register(c Clock, name string) Handle {
 	av, ok := c.(*AutoVirtual)
 	if !ok {
-		return Handle{}
+		return Handle{c: c}
 	}
 	return Handle{a: av.register(name, false)}
 }
@@ -182,18 +174,17 @@ func Fork(c Clock, n int) {
 func RegisterForked(c Clock, name string) Handle {
 	av, ok := c.(*AutoVirtual)
 	if !ok {
-		return Handle{}
+		return Handle{c: c}
 	}
 	return Handle{a: av.register(name, true)}
 }
 
 func (av *AutoVirtual) register(name string, forked bool) *Actor {
 	v := av.Virtual
-	a := &Actor{v: v, name: name, gid: goid(), grant: make(chan struct{}, 1)}
+	a := &Actor{v: v, name: name, grant: make(chan struct{}, 1)}
 	v.mu.Lock()
 	core := v.auto
 	core.actors[a] = struct{}{}
-	core.goids[a.gid] = a
 	if forked && core.forking > 0 {
 		core.forking--
 		a.state = actorReady
@@ -235,7 +226,6 @@ func (a *Actor) close() {
 	v.mu.Lock()
 	core := v.auto
 	delete(core.actors, a)
-	delete(core.goids, a.gid)
 	if core.current == a {
 		core.current = nil
 		core.scheduleLocked()
@@ -329,13 +319,25 @@ func (c *autoCore) wakeLocked(a *Actor) {
 	}
 }
 
+// holdLocked enters a parking primitive on v's schedule: it panics, with
+// v.mu released, unless a is the actor holding v's execution token. Callers
+// hold v.mu.
+func (v *Virtual) holdLocked(a *Actor, op string) {
+	if a == nil {
+		v.mu.Unlock()
+		panic("clock: " + op + " on an AutoVirtual clock needs the calling actor's Handle")
+	}
+	if v.auto.current != a {
+		v.mu.Unlock()
+		panic("clock: actor " + a.name + " called " + op + " without holding the execution token")
+	}
+}
+
 // parkLocked releases the token and blocks the actor until a wake re-grants
-// it. Callers hold v.mu; it is held again on return.
+// it. Callers hold v.mu and have passed holdLocked; v.mu is held again on
+// return.
 func (v *Virtual) parkLocked(a *Actor) {
 	core := v.auto
-	if core.current != a {
-		panic("clock: actor " + a.name + " parked without holding the execution token")
-	}
 	a.state = actorParked
 	core.current = nil
 	core.scheduleLocked()
@@ -410,24 +412,51 @@ type Waitable interface {
 
 // Await blocks until one of the sources is ready and consumes it, returning
 // the ready source's index, its value, and the receive's ok flag (false for
-// a closed Gate or a closed, drained Mailbox). On an AutoVirtual clock with
-// a registered calling actor, readiness is checked in argument order —
-// lowest index wins — making multi-ready races deterministic; put the stop
-// gate first so shutdown beats pending work. On every other clock (or from
-// an unregistered goroutine) Await degrades to a pseudo-randomly-tie-broken
-// channel select, matching Go select semantics.
-func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
-	if v, auto := autoOf(c); auto {
-		id := goid()
+// a closed Gate or a closed, drained Mailbox). Under AutoVirtual the handle
+// must be the actor holding the execution token; readiness is checked in
+// argument order — lowest index wins — making multi-ready races
+// deterministic, so put the stop gate first to let shutdown beat pending
+// work. On Real and plain Virtual clocks Await is a channel select with Go's
+// pseudo-random tie-break.
+func (h Handle) Await(srcs ...Waitable) (idx int, val any, ok bool) {
+	if a := h.a; a != nil {
+		v := a.v
 		v.mu.Lock()
-		if a := v.auto.goids[id]; a != nil {
-			return v.await(a, srcs)
-		}
-		v.mu.Unlock()
+		v.holdLocked(a, "Await")
+		return v.await(a, srcs)
 	}
+	return selectRecv(srcs)
+}
+
+// Sleep blocks the caller for d on the handle's clock; under AutoVirtual
+// the actor parks until the clock reaches the deadline.
+func (h Handle) Sleep(d time.Duration) {
+	a := h.a
+	if a == nil {
+		if h.c == nil {
+			panic("clock: Sleep on the zero Handle; Register with the clock first")
+		}
+		h.c.Sleep(d)
+		return
+	}
+	v := a.v
+	v.mu.Lock()
+	v.holdLocked(a, "Sleep")
+	v.await(a, []Waitable{v.newTimerAtLocked(v.now.Add(d))})
+}
+
+// selectRecv is the channel path of Await. AutoVirtual sources have no
+// valid channel to select on, so a handle without an actor (the zero
+// Handle, or one bound to another clock) panics on them instead of
+// blocking the token holder unseen.
+func selectRecv(srcs []Waitable) (idx int, val any, ok bool) {
 	cases := make([]reflect.SelectCase, len(srcs))
 	for i, s := range srcs {
-		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: s.waitChan()}
+		ch := s.waitChan()
+		if !ch.IsValid() {
+			panic("clock: Await on an AutoVirtual source needs the calling actor's registered Handle")
+		}
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: ch}
 	}
 	i, rv, rok := reflect.Select(cases)
 	if rv.IsValid() {
@@ -460,9 +489,9 @@ func (v *Virtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
 // parks auto-virtual actors instead of blocking them. The zero value is not
 // usable; construct with NewGate.
 type Gate struct {
-	v  *Virtual // non-nil only under AutoVirtual
-	mu sync.Mutex
-	ch chan struct{}
+	v      *Virtual // non-nil only under AutoVirtual
+	mu     sync.Mutex
+	ch     chan struct{}
 	closed bool
 	w      watchers
 }
@@ -514,9 +543,15 @@ func (g *Gate) Closed() bool {
 // path; auto-virtual actors must use Await instead.
 func (g *Gate) C() <-chan struct{} { return g.ch }
 
-func (g *Gate) waitChan() reflect.Value { return reflect.ValueOf(g.ch) }
-func (g *Gate) attach(a *Actor)         { g.w.add(a) }
-func (g *Gate) detach(a *Actor)         { g.w.remove(a) }
+// waitChan is invalid under AutoVirtual: only a registered actor may wait.
+func (g *Gate) waitChan() reflect.Value {
+	if g.v != nil {
+		return reflect.Value{}
+	}
+	return reflect.ValueOf(g.ch)
+}
+func (g *Gate) attach(a *Actor) { g.w.add(a) }
+func (g *Gate) detach(a *Actor) { g.w.remove(a) }
 func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 	if g.closed {
 		return nil, false, true
@@ -524,16 +559,21 @@ func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 	return nil, false, false
 }
 
-// Mailbox is a bounded FIFO channel whose blocking operations park
-// auto-virtual actors. Capacity must be at least 1. On real and
-// plain-virtual clocks it behaves exactly like a buffered channel.
+// Mailbox is a bounded FIFO whose blocking operations park auto-virtual
+// actors. Capacity must be at least 1. On real and plain-virtual clocks it
+// behaves exactly like a buffered channel. Under AutoVirtual it is a slice
+// queue guarded by the clock mutex that grows on demand up to the capacity,
+// so a large bound costs nothing until it is used.
 type Mailbox[T any] struct {
-	v  *Virtual // non-nil only under AutoVirtual
-	mu sync.Mutex
-	ch chan T
-	closed bool
-	recvW  watchers // actors parked in Await
-	sendW  watchers // actors parked in Send
+	v        *Virtual // non-nil only under AutoVirtual
+	capacity int
+	q        []T // AutoVirtual: queued values from head on
+	head     int
+	mu       sync.Mutex
+	ch       chan T // Real and plain Virtual only
+	closed   bool
+	recvW    watchers // actors parked in Await
+	sendW    watchers // actors parked in Send
 }
 
 // NewMailbox builds a mailbox with the given capacity (floored at 1).
@@ -541,17 +581,20 @@ func NewMailbox[T any](c Clock, capacity int) *Mailbox[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	m := &Mailbox[T]{ch: make(chan T, capacity)}
+	m := &Mailbox[T]{capacity: capacity}
 	if v, ok := autoOf(c); ok {
 		m.v = v
+	} else {
+		m.ch = make(chan T, capacity)
 	}
 	return m
 }
 
 // Send enqueues val, blocking while the mailbox is full. It returns false
 // without enqueueing when the mailbox is closed or abort (which may be nil)
-// closes first. Under AutoVirtual the caller must be a registered actor.
-func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
+// closes first. Under AutoVirtual h must be the actor holding the execution
+// token.
+func (m *Mailbox[T]) Send(h Handle, val T, abort *Gate) bool {
 	if m.v == nil {
 		if m.isClosed() {
 			return false
@@ -567,13 +610,9 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 			return false
 		}
 	}
-	v := m.v
+	v, a := m.v, h.a
 	v.mu.Lock()
-	a := v.auto.goids[goid()]
-	if a == nil {
-		v.mu.Unlock()
-		panic("clock: Mailbox.Send from a goroutine not registered with the AutoVirtual clock")
-	}
+	v.holdLocked(a, "Mailbox.Send")
 	for {
 		if m.closed || (abort != nil && abort.closed) {
 			m.sendW.remove(a)
@@ -583,9 +622,8 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 			v.mu.Unlock()
 			return false
 		}
-		if len(m.ch) < cap(m.ch) {
-			m.ch <- val
-			m.recvW.wakeLocked(v.auto)
+		if m.lenLocked() < m.capacity {
+			m.pushLocked(val)
 			m.sendW.remove(a)
 			if abort != nil {
 				abort.w.remove(a)
@@ -617,11 +655,10 @@ func (m *Mailbox[T]) TrySend(val T) bool {
 	v := m.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if m.closed || len(m.ch) >= cap(m.ch) {
+	if m.closed || m.lenLocked() >= m.capacity {
 		return false
 	}
-	m.ch <- val
-	m.recvW.wakeLocked(v.auto)
+	m.pushLocked(val)
 	v.auto.kickLocked()
 	return true
 }
@@ -651,7 +688,14 @@ func (m *Mailbox[T]) Close() {
 }
 
 // Len reports the number of buffered values.
-func (m *Mailbox[T]) Len() int { return len(m.ch) }
+func (m *Mailbox[T]) Len() int {
+	if m.v == nil {
+		return len(m.ch)
+	}
+	m.v.mu.Lock()
+	defer m.v.mu.Unlock()
+	return m.lenLocked()
+}
 
 func (m *Mailbox[T]) isClosed() bool {
 	m.mu.Lock()
@@ -659,12 +703,41 @@ func (m *Mailbox[T]) isClosed() bool {
 	return m.closed
 }
 
-func (m *Mailbox[T]) waitChan() reflect.Value { return reflect.ValueOf(m.ch) }
-func (m *Mailbox[T]) attach(a *Actor)         { m.recvW.add(a) }
-func (m *Mailbox[T]) detach(a *Actor)         { m.recvW.remove(a) }
+func (m *Mailbox[T]) lenLocked() int { return len(m.q) - m.head }
+
+// pushLocked appends val to the queue and wakes parked receivers. A full
+// backing array whose consumed prefix is at least half of it is compacted
+// instead of grown, so each value is copied O(1) times amortized however
+// close the backlog stays to the capacity.
+func (m *Mailbox[T]) pushLocked(val T) {
+	if len(m.q) == cap(m.q) && m.head > 0 && 2*m.head >= len(m.q) {
+		n := copy(m.q, m.q[m.head:])
+		clear(m.q[n:])
+		m.q = m.q[:n]
+		m.head = 0
+	}
+	m.q = append(m.q, val)
+	m.recvW.wakeLocked(m.v.auto)
+}
+
+// waitChan is invalid under AutoVirtual, where the mailbox has no channel.
+func (m *Mailbox[T]) waitChan() reflect.Value {
+	if m.ch == nil {
+		return reflect.Value{}
+	}
+	return reflect.ValueOf(m.ch)
+}
+func (m *Mailbox[T]) attach(a *Actor) { m.recvW.add(a) }
+func (m *Mailbox[T]) detach(a *Actor) { m.recvW.remove(a) }
 func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
-	if len(m.ch) > 0 {
-		val := <-m.ch
+	if m.lenLocked() > 0 {
+		var zero T
+		val := m.q[m.head]
+		m.q[m.head] = zero
+		m.head++
+		if m.head == len(m.q) {
+			m.q, m.head = m.q[:0], 0
+		}
 		m.sendW.wakeLocked(m.v.auto)
 		return val, true, true
 	}
@@ -723,42 +796,20 @@ func (g *Group) Done() {
 	g.v.mu.Unlock()
 }
 
-// Wait blocks until the counter reaches zero.
-func (g *Group) Wait() {
+// Wait blocks until the counter reaches zero. Under AutoVirtual h must be
+// the actor holding the execution token.
+func (g *Group) Wait(h Handle) {
 	if g.v == nil {
 		g.wg.Wait()
 		return
 	}
-	v := g.v
+	v, a := g.v, h.a
 	v.mu.Lock()
-	a := v.auto.goids[goid()]
-	if a == nil {
-		v.mu.Unlock()
-		panic("clock: Group.Wait from a goroutine not registered with the AutoVirtual clock")
-	}
+	v.holdLocked(a, "Group.Wait")
 	for g.n > 0 {
 		g.w.add(a)
 		v.parkLocked(a)
 	}
 	g.w.remove(a)
 	v.mu.Unlock()
-}
-
-// goid parses the calling goroutine's ID from its stack header — the only
-// portable identity Go exposes. The cost (one runtime.Stack of one frame)
-// is paid per blocking primitive call, which the simulated workloads
-// amortize over far more expensive virtual-time work.
-func goid() int64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	// The header is "goroutine 123 [...".
-	s := buf[len("goroutine "):n]
-	var id int64
-	for _, ch := range s {
-		if ch < '0' || ch > '9' {
-			break
-		}
-		id = id*10 + int64(ch-'0')
-	}
-	return id
 }

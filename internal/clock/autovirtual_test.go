@@ -18,7 +18,7 @@ func TestAutoVirtualAdvancesOnQuiescence(t *testing.T) {
 		h := Register(av, "sleeper")
 		defer h.Close()
 		start := av.Now()
-		av.Sleep(10 * time.Hour)
+		h.Sleep(10 * time.Hour)
 		done <- av.Now().Sub(start)
 	}()
 	select {
@@ -47,7 +47,7 @@ func TestAutoVirtualDeadlockDetection(t *testing.T) {
 		go func(name string) {
 			h := RegisterForked(av, name)
 			defer h.Close()
-			Await(av, never) // never closes: guaranteed deadlock
+			h.Await(never) // never closes: guaranteed deadlock
 		}(name)
 	}
 	select {
@@ -83,7 +83,7 @@ func TestAutoVirtualSameInstantTickersDeterministic(t *testing.T) {
 				tick := av.NewTicker(10 * time.Millisecond)
 				defer tick.Stop()
 				for i := 0; i < rounds; i++ {
-					Await(av, tick)
+					h.Await(tick)
 					mu.Lock()
 					log = append(log, name)
 					mu.Unlock()
@@ -123,8 +123,8 @@ func TestAutoVirtualRegisterChurn(t *testing.T) {
 		h := RegisterForked(av, "producer")
 		defer h.Close()
 		for i := 0; i < 4*workers; i++ {
-			av.Sleep(time.Millisecond)
-			if !mbox.Send(i, stop) {
+			h.Sleep(time.Millisecond)
+			if !mbox.Send(h, i, stop) {
 				return
 			}
 		}
@@ -137,8 +137,8 @@ func TestAutoVirtualRegisterChurn(t *testing.T) {
 			h := RegisterForked(av, fmt.Sprintf("consumer-%d", i))
 			defer h.Close()
 			for {
-				av.Sleep(time.Duration(i+1) * time.Millisecond)
-				if _, _, ok := Await(av, mbox); !ok {
+				h.Sleep(time.Duration(i+1) * time.Millisecond)
+				if _, _, ok := h.Await(mbox); !ok {
 					return
 				}
 			}
@@ -179,7 +179,7 @@ func TestAutoVirtualGroupJoin(t *testing.T) {
 	go func() {
 		h := RegisterForked(av, "joiner")
 		defer h.Close()
-		g.Wait()
+		g.Wait(h)
 		res <- av.Now()
 	}()
 	for i := 0; i < 3; i++ {
@@ -187,7 +187,7 @@ func TestAutoVirtualGroupJoin(t *testing.T) {
 			h := RegisterForked(av, fmt.Sprintf("member-%d", i))
 			defer h.Close()
 			defer g.Done()
-			av.Sleep(time.Duration(i+1) * time.Second)
+			h.Sleep(time.Duration(i+1) * time.Second)
 		}(i)
 	}
 	select {
@@ -240,10 +240,10 @@ func TestForkWaveReleaseIgnoresRegistrationTiming(t *testing.T) {
 			defer wg.Done()
 			h := RegisterForked(av, "waiter")
 			defer h.Close()
-			Await(av, wake)
+			h.Await(wake)
 			record("waiter")
 		}()
-		av.Sleep(time.Millisecond) // the waiter runs and parks on the gate
+		parent.Sleep(time.Millisecond) // the waiter runs and parks on the gate
 
 		Fork(av, 1)
 		wg.Add(1)

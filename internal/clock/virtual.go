@@ -212,9 +212,15 @@ func (t *virtualTicker) Reset(d time.Duration) {
 	t.clk.addWaiterLocked(t.w)
 }
 
-func (t *virtualTicker) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
-func (t *virtualTicker) attach(a *Actor)         { t.watch.add(a) }
-func (t *virtualTicker) detach(a *Actor)         { t.watch.remove(a) }
+// waitChan is invalid under AutoVirtual: only a registered actor may wait.
+func (t *virtualTicker) waitChan() reflect.Value {
+	if t.clk.auto != nil {
+		return reflect.Value{}
+	}
+	return reflect.ValueOf(t.ch)
+}
+func (t *virtualTicker) attach(a *Actor) { t.watch.add(a) }
+func (t *virtualTicker) detach(a *Actor) { t.watch.remove(a) }
 func (t *virtualTicker) tryConsumeLocked() (any, bool, bool) {
 	if len(t.ch) > 0 {
 		return <-t.ch, true, true
@@ -249,9 +255,15 @@ func (t *virtualTimer) Reset(d time.Duration) bool {
 	return active
 }
 
-func (t *virtualTimer) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
-func (t *virtualTimer) attach(a *Actor)         { t.watch.add(a) }
-func (t *virtualTimer) detach(a *Actor)         { t.watch.remove(a) }
+// waitChan is invalid under AutoVirtual: only a registered actor may wait.
+func (t *virtualTimer) waitChan() reflect.Value {
+	if t.clk.auto != nil {
+		return reflect.Value{}
+	}
+	return reflect.ValueOf(t.ch)
+}
+func (t *virtualTimer) attach(a *Actor) { t.watch.add(a) }
+func (t *virtualTimer) detach(a *Actor) { t.watch.remove(a) }
 func (t *virtualTimer) tryConsumeLocked() (any, bool, bool) {
 	if len(t.ch) > 0 {
 		return <-t.ch, true, true

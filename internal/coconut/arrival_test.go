@@ -3,6 +3,8 @@ package coconut
 import (
 	"testing"
 	"time"
+
+	"github.com/coconut-bench/coconut/internal/clock"
 )
 
 func TestUniformArrivalGaps(t *testing.T) {
@@ -123,7 +125,7 @@ func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	if len(records) > 90 {
 		t.Fatalf("sent %d transactions in 300ms at RL=100 (Poisson pacer unbounded)", len(records))
 	}
@@ -146,7 +148,7 @@ func TestClientBurstArrivalDelivers(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	if len(records) == 0 {
 		t.Fatal("burst schedule sent nothing")
 	}

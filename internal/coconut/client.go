@@ -259,9 +259,10 @@ func (c *Client) onEvent(ev systems.Event) {
 	}
 }
 
-// Run executes the send and listen phases, blocking until both complete,
-// and returns every transaction record (nil when DiscardRecords is set).
-func (c *Client) Run() []TxRecord {
+// Run executes the send and listen phases on the caller's handle h,
+// blocking until both complete, and returns every transaction record (nil
+// when DiscardRecords is set).
+func (c *Client) Run(h clock.Handle) []TxRecord {
 	clk := c.cfg.Clock
 	stopSend := clock.NewGate(clk)
 	wg := clock.NewGroup(clk)
@@ -283,20 +284,20 @@ func (c *Client) Run() []TxRecord {
 	clock.Fork(clk, 1+c.cfg.WorkloadThreads)
 	wg.Add(1)
 	go func() {
-		h := clock.RegisterForked(clk, c.cfg.ID+"/pacer")
-		defer h.Close()
+		ph := clock.RegisterForked(clk, c.cfg.ID+"/pacer")
+		defer ph.Close()
 		defer wg.Done()
 		for {
 			if g := gaps(); g > 0 {
 				t := clk.NewTimer(g)
-				if i, _, _ := clock.Await(clk, stopSend, t); i == 0 {
+				if i, _, _ := ph.Await(stopSend, t); i == 0 {
 					t.Stop()
 					return
 				}
 			} else if stopSend.Closed() {
 				return
 			}
-			if !tokens.Send(struct{}{}, stopSend) {
+			if !tokens.Send(ph, struct{}{}, stopSend) {
 				return
 			}
 		}
@@ -306,17 +307,17 @@ func (c *Client) Run() []TxRecord {
 		t := t
 		wg.Add(1)
 		go func() {
-			h := clock.RegisterForked(clk, c.cfg.ID+"/w"+strconv.Itoa(t))
-			defer h.Close()
+			wh := clock.RegisterForked(clk, c.cfg.ID+"/w"+strconv.Itoa(t))
+			defer wh.Close()
 			defer wg.Done()
-			c.workloadThread(t, tokens, stopSend)
+			c.workloadThread(wh, t, tokens, stopSend)
 		}()
 	}
 
-	clk.Sleep(c.cfg.SendDuration)
+	h.Sleep(c.cfg.SendDuration)
 	stopSend.Close()
-	wg.Wait()
-	clk.Sleep(c.cfg.ListenGrace)
+	wg.Wait(h)
+	h.Sleep(c.cfg.ListenGrace)
 	c.detach()
 
 	if c.cfg.DiscardRecords {
@@ -378,8 +379,8 @@ func (c *Client) Summary() ClientSummary {
 }
 
 // workloadThread sends transactions sequentially without waiting for
-// finalization confirmations (§4.3).
-func (c *Client) workloadThread(thread int, tokens *clock.Mailbox[struct{}], stop *clock.Gate) {
+// finalization confirmations (§4.3); h is the thread's own handle.
+func (c *Client) workloadThread(h clock.Handle, thread int, tokens *clock.Mailbox[struct{}], stop *clock.Gate) {
 	threadKey := c.cfg.ID + "/" + strconv.Itoa(thread)
 	var gen OpGen
 	if c.cfg.Gen != nil {
@@ -403,7 +404,7 @@ func (c *Client) workloadThread(thread int, tokens *clock.Mailbox[struct{}], sto
 		// The stop gate sits at index 0, so when a token and the shutdown
 		// signal are both ready the cutoff wins — every thread stops at the
 		// same deterministic point under virtual time.
-		if i, _, _ := clock.Await(c.cfg.Clock, stop, tokens); i == 0 {
+		if i, _, _ := h.Await(stop, tokens); i == 0 {
 			return
 		}
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
@@ -37,10 +38,10 @@ func newFakeDriver() *fakeDriver {
 	}
 }
 
-func (f *fakeDriver) Name() string   { return "fake" }
-func (f *fakeDriver) Start() error   { return nil }
-func (f *fakeDriver) Stop()          {}
-func (f *fakeDriver) NodeCount() int { return 4 }
+func (f *fakeDriver) Name() string      { return "fake" }
+func (f *fakeDriver) Start() error      { return nil }
+func (f *fakeDriver) Stop(clock.Handle) {}
+func (f *fakeDriver) NodeCount() int    { return 4 }
 
 func (f *fakeDriver) Subscribe(client string, fn systems.EventFunc) {
 	f.mu.Lock()
@@ -88,7 +89,7 @@ func (f *fakeDriver) CrashNode(node int) error {
 	return nil
 }
 
-func (f *fakeDriver) RestartNode(node int) error {
+func (f *fakeDriver) RestartNode(_ clock.Handle, node int) error {
 	f.mu.Lock()
 	delete(f.down, node%f.NodeCount())
 	var flush []systems.Event
@@ -135,7 +136,7 @@ func TestClientSendsAndCollects(t *testing.T) {
 		SendDuration:    200 * time.Millisecond,
 		ListenGrace:     50 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	if len(records) == 0 {
 		t.Fatal("no transactions sent")
 	}
@@ -160,7 +161,7 @@ func TestClientRateLimit(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	// Warm-start token plus pacing: allow generous headroom but catch a
 	// broken limiter (which would send thousands).
 	if len(records) > 60 {
@@ -186,7 +187,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	lost := 0
 	for _, r := range records {
 		if !r.Received {
@@ -214,7 +215,7 @@ func TestClientOpsPerTx(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	if len(records) == 0 {
 		t.Fatal("nothing sent")
 	}
@@ -244,7 +245,7 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	d.mu.Lock()
 	batches := len(d.batches)
 	d.mu.Unlock()
@@ -268,7 +269,7 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 		ListenGrace:     20 * time.Millisecond,
 		ReadMax:         []uint64{3}, // only keys 0..2 were "written"
 	})
-	c.Run()
+	c.Run(clock.Register(c.cfg.Clock, "test"))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.submitted) < 4 {
@@ -294,7 +295,7 @@ func TestClientSentCountsMatchRecords(t *testing.T) {
 		SendDuration:    150 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	counts := c.SentCounts()
 	if len(counts) != 3 {
 		t.Fatalf("SentCounts len = %d, want 3", len(counts))
@@ -322,7 +323,7 @@ func TestClientSummaryMatchesRecords(t *testing.T) {
 		SendDuration:    200 * time.Millisecond,
 		ListenGrace:     30 * time.Millisecond,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	want := ComputeRepetition(records)
 	got := CombineSummaries([]ClientSummary{c.Summary()})
 	if got.ExpectedNoT != want.ExpectedNoT || got.ReceivedNoT != want.ReceivedNoT {
@@ -352,7 +353,7 @@ func TestClientDiscardRecordsKeepsOnlineMetrics(t *testing.T) {
 		ListenGrace:     20 * time.Millisecond,
 		DiscardRecords:  true,
 	})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	if records != nil {
 		t.Fatalf("DiscardRecords returned %d records, want nil", len(records))
 	}
@@ -400,7 +401,7 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 	fn := d.subs["c0"]
 	d.mu.Unlock()
 	fn(systems.Event{TxID: ghost.ID, Client: "c0", Committed: true})
-	records := c.Run()
+	records := c.Run(clock.Register(c.cfg.Clock, "test"))
 	for _, r := range records {
 		if r.Received && r.End.IsZero() {
 			t.Fatal("corrupted record from stray event")

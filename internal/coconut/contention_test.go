@@ -140,8 +140,8 @@ type noPreloadDriver struct{ systems.Driver }
 
 func (noPreloadDriver) Name() string                        { return "no-preload" }
 func (noPreloadDriver) Start() error                        { return nil }
-func (noPreloadDriver) Stop()                               {}
+func (noPreloadDriver) Stop(clock.Handle)                   {}
 func (noPreloadDriver) NodeCount() int                      { return 1 }
 func (noPreloadDriver) Subscribe(string, systems.EventFunc) {}
 func (noPreloadDriver) CrashNode(int) error                 { return nil }
-func (noPreloadDriver) RestartNode(int) error               { return nil }
+func (noPreloadDriver) RestartNode(clock.Handle, int) error { return nil }

@@ -117,8 +117,12 @@ func (s GaugeSeries) Empty() bool {
 // combineSeries folds per-repetition gauge series into one element-wise
 // mean series, averaging each window over the repetitions that sampled it
 // (repetitions may trim trailing windows differently). Nil when no
-// repetition collected a series.
+// repetition collected a series. A single repetition's series is its own
+// mean and is returned as is.
 func combineSeries(reps []RepetitionResult) GaugeSeries {
+	if len(reps) == 1 {
+		return reps[0].Series
+	}
 	maxLen := 0
 	for _, r := range reps {
 		if len(r.Series) > maxLen {

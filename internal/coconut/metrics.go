@@ -53,19 +53,25 @@ func (r TxRecord) FLS() time.Duration {
 // a bounded relative error of 1/histSubCount (~3%) over the full duration
 // range. Observations and merges use atomics, so system event goroutines
 // stream latencies into it concurrently without a lock, and percentiles
-// come from a bucket walk instead of sorting the full record set.
+// come from a bucket walk instead of sorting the full record set. An
+// octave's buckets are allocated when it first records: latencies span a
+// handful of octaves, and every client holds one histogram per pipeline
+// stage, so dense buckets would cost ~15 KiB each for mostly zeros.
 type LatencyHist struct {
-	counts [histBuckets]atomic.Uint64
-	total  atomic.Uint64
+	octaves [histOctaves]atomic.Pointer[histOctave]
+	total   atomic.Uint64
 }
+
+// histOctave is one octave's sub-buckets.
+type histOctave [histSubCount]atomic.Uint64
 
 const (
 	histSubBits  = 5
 	histSubCount = 1 << histSubBits
-	// histBuckets covers every non-negative int64 nanosecond duration:
-	// values below histSubCount are exact, each further octave adds
-	// histSubCount sub-buckets.
-	histBuckets = (64 - histSubBits) * histSubCount
+	// histOctaves covers every non-negative int64 nanosecond duration:
+	// values below histSubCount are exact (octave 0), each further octave
+	// adds histSubCount sub-buckets.
+	histOctaves = 64 - histSubBits
 )
 
 // histIndex maps a nanosecond value to its bucket.
@@ -91,6 +97,20 @@ func histValue(idx int) uint64 {
 // NewLatencyHist returns an empty histogram.
 func NewLatencyHist() *LatencyHist { return &LatencyHist{} }
 
+// bucket returns the counter of bucket idx, allocating its octave on first
+// use. Concurrent first uses agree on one octave through the CAS.
+func (h *LatencyHist) bucket(idx int) *atomic.Uint64 {
+	slot := &h.octaves[idx>>histSubBits]
+	oct := slot.Load()
+	if oct == nil {
+		oct = new(histOctave)
+		if !slot.CompareAndSwap(nil, oct) {
+			oct = slot.Load()
+		}
+	}
+	return &oct[idx&(histSubCount-1)]
+}
+
 // Observe streams one latency sample into the histogram.
 func (h *LatencyHist) Observe(d time.Duration) {
 	h.ObserveN(d, 1)
@@ -106,7 +126,7 @@ func (h *LatencyHist) ObserveN(d time.Duration, n uint64) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[histIndex(uint64(d))].Add(n)
+	h.bucket(histIndex(uint64(d))).Add(n)
 	h.total.Add(n)
 }
 
@@ -118,9 +138,15 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 	if other == nil {
 		return
 	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
+	for o := range other.octaves {
+		oct := other.octaves[o].Load()
+		if oct == nil {
+			continue
+		}
+		for j := range oct {
+			if n := oct[j].Load(); n > 0 {
+				h.bucket(o<<histSubBits | j).Add(n)
+			}
 		}
 	}
 	h.total.Add(other.total.Load())
@@ -141,10 +167,16 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 		target = total
 	}
 	var seen uint64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= target {
-			return time.Duration(histValue(i))
+	for o := range h.octaves {
+		oct := h.octaves[o].Load()
+		if oct == nil {
+			continue
+		}
+		for j := range oct {
+			seen += oct[j].Load()
+			if seen >= target {
+				return time.Duration(histValue(o<<histSubBits | j))
+			}
 		}
 	}
 	return 0
@@ -199,9 +231,18 @@ func (m *StageMetrics) Empty() bool {
 // Summarize renders the accumulated stage latencies as per-stage statistics
 // in pipeline order, skipping stages that never recorded. Nil when empty.
 func (m *StageMetrics) Summarize() []StageStat {
-	var out []StageStat
-	for i := 0; i < chain.NumStages; i++ {
-		n := m.n[i].Load()
+	var ns [chain.NumStages]int64
+	recorded := 0
+	for i := range ns {
+		if ns[i] = m.n[i].Load(); ns[i] > 0 {
+			recorded++
+		}
+	}
+	if recorded == 0 {
+		return nil
+	}
+	out := make([]StageStat, 0, recorded)
+	for i, n := range ns {
 		if n == 0 {
 			continue
 		}
@@ -690,7 +731,13 @@ func aggregateStages(reps []RepetitionResult) ([]StageResult, string) {
 	if !seen {
 		return nil, ""
 	}
-	var out []StageResult
+	present := 0
+	for _, a := range accs {
+		if len(a.mean) > 0 {
+			present++
+		}
+	}
+	out := make([]StageResult, 0, present)
 	bottleneck := ""
 	worst := -1.0
 	for i := 0; i < chain.NumStages; i++ {

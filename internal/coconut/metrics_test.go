@@ -2,6 +2,8 @@ package coconut
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -187,6 +189,52 @@ func TestLatencyHistMerge(t *testing.T) {
 	}
 	if p := a.Quantile(0.75).Seconds(); math.Abs(p-1.0) > 0.05 {
 		t.Fatalf("P75 = %v, want ~1s", p)
+	}
+}
+
+// TestLatencyHistAllocatesTouchedOctaves checks that a histogram pays only
+// for the octaves it records in, and that concurrent first observations
+// of one octave land in a single shared set of buckets.
+func TestLatencyHistAllocatesTouchedOctaves(t *testing.T) {
+	// TotalAlloc is process-wide, so a goroutine left running by an earlier
+	// test can add to one reading; the fewest bytes over a few tries is the
+	// histogram's own cost.
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h := NewLatencyHist()
+		h.Observe(time.Millisecond)
+		h.Observe(time.Second)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(h)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 2048 {
+		t.Fatalf("histogram with two touched octaves allocated %d bytes, want < 2048", least)
+	}
+
+	h := NewLatencyHist()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				h.Observe(7 * time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != 800 {
+		t.Fatalf("count = %d, want 800", h.Count())
+	}
+	if p := h.Quantile(1).Seconds(); math.Abs(p-0.007) > 0.0003 {
+		t.Fatalf("P100 = %v, want ~7ms: an observation was lost in a racing octave allocation", p)
+	}
+	if p := h.Quantile(1.0 / 800); math.Abs(p.Seconds()-0.007) > 0.0003 {
+		t.Fatalf("P(1/800) = %v, want ~7ms", p)
 	}
 }
 

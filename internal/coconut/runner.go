@@ -158,7 +158,7 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	stopDriver := func() {
 		if !stopped {
 			stopped = true
-			driver.Stop()
+			driver.Stop(h)
 		}
 	}
 	defer stopDriver()
@@ -175,7 +175,7 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 		}
 	}
 	if cfg.StabilizeDelay > 0 {
-		cfg.Clock.Sleep(cfg.StabilizeDelay)
+		h.Sleep(cfg.StabilizeDelay)
 	}
 
 	out := make(map[BenchmarkName]RepetitionResult, len(cfg.Unit))
@@ -193,10 +193,10 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 			}
 		}
 
-		rr, sent := runBenchmark(cfg, driver, bench, rep, readMax)
+		rr, sent := runBenchmark(h, cfg, driver, bench, rep, readMax)
 		writtenCounts[bench] = sent
 		out[bench] = rr
-		quiesce(cfg, driver)
+		quiesce(h, cfg, driver)
 	}
 	// Teardown leak check: after the driver stops, every timer and ticker
 	// armed during the repetition must have fired or been stopped —
@@ -210,9 +210,10 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	return out, nil
 }
 
-// quiesce waits for slow admission queues to empty between unit members,
-// bounded by QuiesceTimeout. Systems without backlogs return immediately.
-func quiesce(cfg RunConfig, driver systems.Driver) {
+// quiesce waits on the runner's handle h for slow admission queues to empty
+// between unit members, bounded by QuiesceTimeout. Systems without backlogs
+// return immediately.
+func quiesce(h clock.Handle, cfg RunConfig, driver systems.Driver) {
 	q, ok := driver.(systems.Quiescer)
 	if !ok {
 		return
@@ -222,15 +223,16 @@ func quiesce(cfg RunConfig, driver systems.Driver) {
 		if q.Drained() {
 			return
 		}
-		cfg.Clock.Sleep(20 * time.Millisecond)
+		h.Sleep(20 * time.Millisecond)
 	}
 }
 
 // runBenchmark provisions fresh clients and executes one benchmark. Each
 // client streams its own online summary (records are discarded as they
 // finalize, keeping memory bounded by the in-flight window); the summaries
-// merge lock-free at phase end into the repetition's metrics.
-func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
+// merge lock-free at phase end into the repetition's metrics. h is the
+// runner's handle.
+func runBenchmark(h clock.Handle, cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected when fault measurement is requested — a schedule or an
@@ -298,11 +300,11 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		i, cl := i, cl
 		wg.Add(1)
 		go func() {
-			h := clock.RegisterForked(cfg.Clock, cl.cfg.ID)
-			defer h.Close()
+			ch := clock.RegisterForked(cfg.Clock, cl.cfg.ID)
+			defer ch.Close()
 			defer wg.Done()
-			clock.Await(cfg.Clock, start)
-			cl.Run()
+			ch.Await(start)
+			cl.Run(ch)
 			sums[i] = cl.Summary()
 		}()
 	}
@@ -345,13 +347,13 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		gaugeDone = clock.NewGate(cfg.Clock)
 		clock.Fork(cfg.Clock, 1)
 		go func() {
-			h := clock.RegisterForked(cfg.Clock, "gauge-sampler")
-			defer h.Close()
+			gh := clock.RegisterForked(cfg.Clock, "gauge-sampler")
+			defer gh.Close()
 			defer gaugeDone.Close()
 			t := cfg.Clock.NewTicker(window)
 			defer t.Stop()
 			for {
-				if i, _, _ := clock.Await(cfg.Clock, gaugeStop, t); i == 0 {
+				if i, _, _ := gh.Await(gaugeStop, t); i == 0 {
 					return
 				}
 				gaugeSamples = append(gaugeSamples, sampleGauges(qr.QueueSnapshot()))
@@ -360,13 +362,13 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 	}
 
 	start.Close()
-	wg.Wait()
+	wg.Wait(h)
 	if injector != nil {
-		injector.Stop()
+		injector.Stop(h)
 	}
 	if gaugeStop != nil {
 		gaugeStop.Close()
-		clock.Await(cfg.Clock, gaugeDone)
+		h.Await(gaugeDone)
 	}
 
 	written := make([][]uint64, len(clients))
@@ -401,15 +403,10 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		if len(gaugeSamples) > 0 && len(rr.Windows) > 0 {
 			// Align the gauge series to the trimmed window timeline: drop
 			// samples past the last non-empty window, pad if the sampler was
-			// stopped a tick early.
-			series := gaugeSamples
-			if len(series) > len(rr.Windows) {
-				series = series[:len(rr.Windows)]
-			}
-			for len(series) < len(rr.Windows) {
-				series = append(series, GaugeSample{})
-			}
-			rr.Series = series
+			// stopped a tick early. The copy is exactly sized because results
+			// outlive the run and would otherwise pin the sampler's buffer.
+			rr.Series = make(GaugeSeries, len(rr.Windows))
+			copy(rr.Series, gaugeSamples)
 		}
 	}
 	if walEnabled {

@@ -179,8 +179,8 @@ func (c *Core) Start() error {
 	c.newInstanceLocked()
 	c.mu.Unlock()
 
-	c.cfg.Transport.Register(c.cfg.ID, func(m network.Message) {
-		c.events.Send(m, c.stop)
+	c.cfg.Transport.Register(c.cfg.ID, func(h clock.Handle, m network.Message) {
+		c.events.Send(h, m, c.stop)
 	})
 	clock.Fork(c.cfg.Clock, 1)
 	go c.run()
@@ -188,7 +188,7 @@ func (c *Core) Start() error {
 }
 
 // Stop implements consensus.Engine.
-func (c *Core) Stop() {
+func (c *Core) Stop(h clock.Handle) {
 	c.mu.Lock()
 	if !c.running {
 		c.mu.Unlock()
@@ -197,7 +197,7 @@ func (c *Core) Stop() {
 	c.running = false
 	c.mu.Unlock()
 	c.stop.Close()
-	clock.Await(c.cfg.Clock, c.done)
+	h.Await(c.done)
 	c.cfg.Transport.Unregister(c.cfg.ID)
 }
 
@@ -205,7 +205,7 @@ func (c *Core) Stop() {
 // that it survives proposer failures; when this node is not the proposer, a
 // copy is also forwarded to the current proposer for prompt ordering. The
 // locally-queued copy is discarded once a matching digest is decided.
-func (c *Core) Submit(payload any) error {
+func (c *Core) Submit(h clock.Handle, payload any) error {
 	c.mu.Lock()
 	if !c.running {
 		c.mu.Unlock()
@@ -220,7 +220,7 @@ func (c *Core) Submit(payload any) error {
 	c.mu.Unlock()
 
 	if proposer == c.cfg.ID {
-		c.tryPropose()
+		c.tryPropose(h)
 		return nil
 	}
 	// Best effort: a failed forward is recovered by the round change.
@@ -278,26 +278,26 @@ func (c *Core) run() {
 	tick := c.cfg.Clock.NewTicker(c.cfg.RoundTimeout / 4)
 	defer tick.Stop()
 	for {
-		switch i, val, _ := clock.Await(c.cfg.Clock, c.stop, c.events, tick); i {
+		switch i, val, _ := h.Await(c.stop, c.events, tick); i {
 		case 0:
 			return
 		case 1:
-			c.handle(val.(network.Message))
+			c.handle(h, val.(network.Message))
 		case 2:
-			c.tryPropose()
-			c.checkRoundTimeout()
+			c.tryPropose(h)
+			c.checkRoundTimeout(h)
 		}
 	}
 }
 
-func (c *Core) handle(m network.Message) {
+func (c *Core) handle(h clock.Handle, m network.Message) {
 	// Buffer messages for heights this node has not reached yet; they are
 	// replayed after the height advances. Without this, a fast proposer's
 	// next pre-prepare races a slow validator's previous decision.
-	if h, ok := msgHeight(m.Payload); ok {
+	if ht, ok := msgHeight(m.Payload); ok {
 		c.mu.Lock()
-		if h > c.height {
-			c.future[h] = append(c.future[h], m)
+		if ht > c.height {
+			c.future[ht] = append(c.future[ht], m)
 			c.mu.Unlock()
 			return
 		}
@@ -305,7 +305,7 @@ func (c *Core) handle(m network.Message) {
 		// agreement messages from the cluster's newer round and stall (its
 		// in-flight proposal would be stranded forever). Buffer them and
 		// jump once f+1 distinct peers are provably ahead.
-		if r, rok := msgRound(m.Payload); rok && h == c.height && r > c.inst.round {
+		if r, rok := msgRound(m.Payload); rok && ht == c.height && r > c.inst.round {
 			c.futureRound[r] = append(c.futureRound[r], m)
 			set := c.roundAhead[r]
 			if set == nil {
@@ -317,9 +317,9 @@ func (c *Core) handle(m network.Message) {
 				replay := c.jumpToRoundLocked(r)
 				c.mu.Unlock()
 				for _, bm := range replay {
-					c.handle(bm)
+					c.handle(h, bm)
 				}
-				c.tryPropose()
+				c.tryPropose(h)
 				return
 			}
 			c.mu.Unlock()
@@ -332,15 +332,15 @@ func (c *Core) handle(m network.Message) {
 		c.mu.Lock()
 		c.pending = append(c.pending, pendingItem{payload: p.Payload, digest: c.cfg.Digest(p.Payload)})
 		c.mu.Unlock()
-		c.tryPropose()
+		c.tryPropose(h)
 	case prePrepareMsg:
-		c.onPrePrepare(p)
+		c.onPrePrepare(h, p)
 	case prepareMsg:
-		c.onPrepare(m.From, p)
+		c.onPrepare(h, m.From, p)
 	case commitMsg:
-		c.onCommit(m.From, p)
+		c.onCommit(h, m.From, p)
 	case roundChangeMsg:
-		c.onRoundChange(m.From, p)
+		c.onRoundChange(h, m.From, p)
 	}
 }
 
@@ -405,7 +405,7 @@ func msgHeight(payload any) (uint64, bool) {
 }
 
 // replayFuture re-handles buffered messages for the current height.
-func (c *Core) replayFuture() {
+func (c *Core) replayFuture(h clock.Handle) {
 	c.mu.Lock()
 	msgs := c.future[c.height]
 	delete(c.future, c.height)
@@ -417,13 +417,13 @@ func (c *Core) replayFuture() {
 	}
 	c.mu.Unlock()
 	for _, m := range msgs {
-		c.handle(m)
+		c.handle(h, m)
 	}
 }
 
 // tryPropose broadcasts a pre-prepare if this node is the proposer at the
 // current height/round, has a pending payload, and has not yet proposed.
-func (c *Core) tryPropose() {
+func (c *Core) tryPropose(h clock.Handle) {
 	c.mu.Lock()
 	if !c.running || c.inst.proposal != nil || len(c.pending) == 0 {
 		c.mu.Unlock()
@@ -445,10 +445,10 @@ func (c *Core) tryPropose() {
 
 	c.broadcast("preprepare", msg)
 	c.broadcast("prepare", prep)
-	c.advance()
+	c.advance(h)
 }
 
-func (c *Core) onPrePrepare(p prePrepareMsg) {
+func (c *Core) onPrePrepare(h clock.Handle, p prePrepareMsg) {
 	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round || c.inst.proposal != nil {
 		c.mu.Unlock()
@@ -461,10 +461,10 @@ func (c *Core) onPrePrepare(p prePrepareMsg) {
 	c.mu.Unlock()
 
 	c.broadcast("prepare", prep)
-	c.advance()
+	c.advance(h)
 }
 
-func (c *Core) onPrepare(from string, p prepareMsg) {
+func (c *Core) onPrepare(h clock.Handle, from string, p prepareMsg) {
 	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round {
 		c.mu.Unlock()
@@ -472,10 +472,10 @@ func (c *Core) onPrepare(from string, p prepareMsg) {
 	}
 	c.inst.prepares[from] = true
 	c.mu.Unlock()
-	c.advance()
+	c.advance(h)
 }
 
-func (c *Core) onCommit(from string, p commitMsg) {
+func (c *Core) onCommit(h clock.Handle, from string, p commitMsg) {
 	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round {
 		c.mu.Unlock()
@@ -483,11 +483,11 @@ func (c *Core) onCommit(from string, p commitMsg) {
 	}
 	c.inst.commits[from] = true
 	c.mu.Unlock()
-	c.advance()
+	c.advance(h)
 }
 
 // advance drives the prepared → committed → decided transitions.
-func (c *Core) advance() {
+func (c *Core) advance(h clock.Handle) {
 	quorum := consensus.QuorumSize(len(c.cfg.Peers))
 
 	c.mu.Lock()
@@ -519,9 +519,9 @@ func (c *Core) advance() {
 		c.height++
 		c.newInstanceLocked()
 		c.mu.Unlock()
-		c.flushDecisions()
-		c.replayFuture()
-		c.tryPropose()
+		c.flushDecisions(h)
+		c.replayFuture(h)
+		c.tryPropose(h)
 		return
 	}
 	c.mu.Unlock()
@@ -529,7 +529,7 @@ func (c *Core) advance() {
 
 // flushDecisions delivers queued decisions to OnDecide in height order,
 // serialized across goroutines.
-func (c *Core) flushDecisions() {
+func (c *Core) flushDecisions(h clock.Handle) {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
 	for {
@@ -543,14 +543,14 @@ func (c *Core) flushDecisions() {
 		cb := c.cfg.OnDecide
 		c.mu.Unlock()
 		if cb != nil {
-			cb(d)
+			cb(h, d)
 		}
 	}
 }
 
 // checkRoundTimeout fires a round change when the current height has been
 // stuck longer than RoundTimeout.
-func (c *Core) checkRoundTimeout() {
+func (c *Core) checkRoundTimeout(h clock.Handle) {
 	c.mu.Lock()
 	if c.inst.committed || c.cfg.Clock.Since(c.inst.startedAt) < c.cfg.RoundTimeout {
 		c.mu.Unlock()
@@ -579,10 +579,10 @@ func (c *Core) checkRoundTimeout() {
 		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind("forward"), *refwd)
 	}
 	c.broadcast("roundchange", msg)
-	c.maybeChangeRound()
+	c.maybeChangeRound(h)
 }
 
-func (c *Core) onRoundChange(from string, p roundChangeMsg) {
+func (c *Core) onRoundChange(h clock.Handle, from string, p roundChangeMsg) {
 	c.mu.Lock()
 	if p.Height != c.height || p.NewRound <= c.inst.round {
 		c.mu.Unlock()
@@ -602,10 +602,10 @@ func (c *Core) onRoundChange(from string, p roundChangeMsg) {
 	if join != nil {
 		c.broadcast("roundchange", *join)
 	}
-	c.maybeChangeRound()
+	c.maybeChangeRound(h)
 }
 
-func (c *Core) maybeChangeRound() {
+func (c *Core) maybeChangeRound(h clock.Handle) {
 	quorum := consensus.QuorumSize(len(c.cfg.Peers))
 	c.mu.Lock()
 	if len(c.inst.roundChange) < quorum {
@@ -640,9 +640,9 @@ func (c *Core) maybeChangeRound() {
 	}
 	c.mu.Unlock()
 	for _, bm := range replay {
-		c.handle(bm)
+		c.handle(h, bm)
 	}
-	c.tryPropose()
+	c.tryPropose(h)
 }
 
 func (c *Core) broadcast(suffix string, payload any) {

@@ -50,15 +50,15 @@ func newCluster(t *testing.T, n int, policy ProposerPolicy) *cluster {
 	}
 	t.Cleanup(func() {
 		for _, core := range c.cores {
-			core.Stop()
+			core.Stop(clock.Handle{})
 		}
-		c.transport.Stop()
+		c.transport.Stop(clock.Handle{})
 	})
 	return c
 }
 
 func (c *cluster) recorder(id string) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(_ clock.Handle, d consensus.Decision) {
 		c.mu.Lock()
 		c.decided[id] = append(c.decided[id], d)
 		c.mu.Unlock()
@@ -92,7 +92,7 @@ func (c *cluster) submitToProposer(payload any) {
 	c.t.Helper()
 	for _, core := range c.cores {
 		if core.IsProposer() {
-			if err := core.Submit(payload); err != nil {
+			if err := core.Submit(clock.Handle{}, payload); err != nil {
 				c.t.Fatal(err)
 			}
 			return
@@ -146,7 +146,7 @@ func TestDecidesManyInOrder(t *testing.T) {
 	go func() {
 		for i := 0; i < total; i++ {
 			// Submit via any node; non-proposers forward.
-			_ = c.cores[i%4].Submit(fmt.Sprintf("block-%d", i))
+			_ = c.cores[i%4].Submit(clock.Handle{}, fmt.Sprintf("block-%d", i))
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -199,12 +199,12 @@ func TestRoundChangeOnStalledProposer(t *testing.T) {
 			submitter = core
 		}
 	}
-	_ = submitter.Submit("survivor") // forward to dead proposer fails silently
+	_ = submitter.Submit(clock.Handle{}, "survivor") // forward to dead proposer fails silently
 	// Submit directly into the others' pending queues so the new proposer
 	// has the payload after the round change.
 	for _, core := range c.cores {
 		if core.cfg.ID != "validator-1" {
-			_ = core.Submit("survivor")
+			_ = core.Submit(clock.Handle{}, "survivor")
 		}
 	}
 
@@ -223,16 +223,16 @@ func TestRoundChangeOnStalledProposer(t *testing.T) {
 
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	core := New(Config{ID: "x", Peers: []string{"x"}, Transport: tr})
-	if err := core.Submit("v"); err != consensus.ErrNotRunning {
+	if err := core.Submit(clock.Handle{}, "v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
 
 func TestMaxPendingBackpressure(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	core := New(Config{
 		ID:         "solo",
 		Peers:      []string{"solo", "ghost-a", "ghost-b", "ghost-c"},
@@ -246,12 +246,12 @@ func TestMaxPendingBackpressure(t *testing.T) {
 	if err := core.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer core.Stop()
+	defer core.Stop(clock.Handle{})
 	// Ghosts never vote, so proposals stall and pending accumulates. The
 	// first submit is consumed into the in-flight proposal slot.
 	errs := 0
 	for i := 0; i < 10; i++ {
-		if err := core.Submit(i); err == consensus.ErrOverloaded {
+		if err := core.Submit(clock.Handle{}, i); err == consensus.ErrOverloaded {
 			errs++
 		}
 	}
@@ -265,7 +265,7 @@ func TestQuorumRequiresEnoughValidators(t *testing.T) {
 	c := newCluster(t, 4, StickyPrimary)
 	c.transport.Isolate("validator-2")
 	c.transport.Isolate("validator-3")
-	_ = c.cores[0].Submit("unsafe")
+	_ = c.cores[0].Submit(clock.Handle{}, "unsafe")
 	time.Sleep(300 * time.Millisecond)
 	c.mu.Lock()
 	defer c.mu.Unlock()

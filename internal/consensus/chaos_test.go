@@ -24,7 +24,7 @@ func newRecorder() *recorder {
 }
 
 func (r *recorder) fn(id string) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(_ clock.Handle, d consensus.Decision) {
 		r.mu.Lock()
 		r.decided[id] = append(r.decided[id], d)
 		r.mu.Unlock()
@@ -77,7 +77,7 @@ func waitCount(t *testing.T, r *recorder, id string, want int, timeout time.Dura
 func TestRaftAgreementUnderLatency(t *testing.T) {
 	tr := network.NewTransport(clock.New(),
 		network.NewNormalLatency(3*time.Millisecond, time.Millisecond, 11))
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	rec := newRecorder()
 
 	ids := []string{"r0", "r1", "r2"}
@@ -99,7 +99,7 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 	}
 	defer func() {
 		for _, n := range nodes {
-			n.Stop()
+			n.Stop(clock.Handle{})
 		}
 	}()
 
@@ -118,7 +118,7 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 		t.Fatal("no leader under latency")
 	}
 	for i := 0; i < 20; i++ {
-		if err := leader.Submit(fmt.Sprintf("e%d", i)); err != nil {
+		if err := leader.Submit(clock.Handle{}, fmt.Sprintf("e%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 func TestBFTAgreementUnderLatency(t *testing.T) {
 	tr := network.NewTransport(clock.New(),
 		network.NewNormalLatency(3*time.Millisecond, time.Millisecond, 13))
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	rec := newRecorder()
 
 	ids := []string{"v0", "v1", "v2", "v3"}
@@ -153,12 +153,12 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 	}
 	defer func() {
 		for _, c := range cores {
-			c.Stop()
+			c.Stop(clock.Handle{})
 		}
 	}()
 
 	for i := 0; i < 15; i++ {
-		if err := cores[i%4].Submit(fmt.Sprintf("p%d", i)); err != nil {
+		if err := cores[i%4].Submit(clock.Handle{}, fmt.Sprintf("p%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -174,7 +174,7 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 // not have produced conflicting decisions.
 func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	rec := newRecorder()
 
 	ids := []string{"v0", "v1", "v2", "v3"}
@@ -194,7 +194,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 	}
 	defer func() {
 		for _, c := range cores {
-			c.Stop()
+			c.Stop(clock.Handle{})
 		}
 	}()
 
@@ -204,7 +204,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 		// Submit everywhere that is still connected so round changes can
 		// always find a proposer with the payload.
 		for _, c := range cores[:3] {
-			_ = c.Submit(fmt.Sprintf("p%d", i))
+			_ = c.Submit(clock.Handle{}, fmt.Sprintf("p%d", i))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -223,7 +223,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 // the minority side stops committing (no split brain).
 func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	rec := newRecorder()
 
 	ids := []string{"r0", "r1", "r2"}
@@ -245,7 +245,7 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	}
 	defer func() {
 		for _, n := range nodes {
-			n.Stop()
+			n.Stop(clock.Handle{})
 		}
 	}()
 
@@ -266,7 +266,7 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	// Isolate the leader (minority of one); it must not commit new entries.
 	tr.Isolate(leader.Leader())
 	before := leader.CommitIndex()
-	_ = leader.Submit("orphan")
+	_ = leader.Submit(clock.Handle{}, "orphan")
 	time.Sleep(150 * time.Millisecond)
 	if leader.CommitIndex() > before {
 		t.Fatal("isolated minority leader advanced its commit index (split brain)")

@@ -10,6 +10,8 @@ package consensus
 import (
 	"errors"
 	"time"
+
+	"github.com/coconut-bench/coconut/internal/clock"
 )
 
 // Decision is one slot of the total order produced by an engine.
@@ -25,18 +27,23 @@ type Decision struct {
 }
 
 // DecideFunc is invoked on each node, in sequence order, once a slot is
-// decided. Callbacks run on engine goroutines and must return promptly.
-type DecideFunc func(Decision)
+// decided. Callbacks run on engine goroutines and must return promptly; h
+// is the handle of the actor the decision runs on, for commit work that
+// charges modeled latency.
+type DecideFunc func(h clock.Handle, d Decision)
 
 // Engine orders payloads across a set of nodes.
 type Engine interface {
 	// Start launches the engine's goroutines.
 	Start() error
 	// Submit hands a payload to the engine for ordering. Non-leader nodes
-	// forward to the current leader where the protocol requires it.
-	Submit(payload any) error
-	// Stop terminates the engine and waits for its goroutines to exit.
-	Stop()
+	// forward to the current leader where the protocol requires it. h is
+	// the caller's handle: an engine that can decide inside Submit (a lone
+	// leader or proposer) runs its DecideFunc on it.
+	Submit(h clock.Handle, payload any) error
+	// Stop terminates the engine and waits, on the caller's handle h, for
+	// its goroutines to exit.
+	Stop(h clock.Handle)
 }
 
 // Engine lifecycle errors.

@@ -145,8 +145,8 @@ func (e *Engine) Start() error {
 	e.running = true
 	e.mu.Unlock()
 
-	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
-		e.events.Send(m, e.stop)
+	e.cfg.Transport.Register(e.cfg.ID, func(h clock.Handle, m network.Message) {
+		e.events.Send(h, m, e.stop)
 	})
 	clock.Fork(e.cfg.Clock, 1)
 	go e.run()
@@ -154,7 +154,7 @@ func (e *Engine) Start() error {
 }
 
 // Stop implements consensus.Engine.
-func (e *Engine) Stop() {
+func (e *Engine) Stop(h clock.Handle) {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -163,14 +163,14 @@ func (e *Engine) Stop() {
 	e.running = false
 	e.mu.Unlock()
 	e.stop.Close()
-	clock.Await(e.cfg.Clock, e.done)
+	h.Await(e.done)
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
 // Submit implements consensus.Engine. Payloads queue locally and are also
 // forwarded to the next few leaders so whichever wins the round can include
-// them.
-func (e *Engine) Submit(payload any) error {
+// them. Queueing never decides or parks, so the handle is unused.
+func (e *Engine) Submit(_ clock.Handle, payload any) error {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -225,15 +225,15 @@ func (e *Engine) run() {
 	lastProgress := e.cfg.Clock.Now()
 
 	for {
-		switch i, val, _ := clock.Await(e.cfg.Clock, e.stop, e.events, propose); i {
+		switch i, val, _ := h.Await(e.stop, e.events, propose); i {
 		case 0:
 			return
 		case 1:
-			if e.handle(val.(network.Message)) {
+			if e.handle(h, val.(network.Message)) {
 				lastProgress = e.cfg.Clock.Now()
 			}
 		case 2:
-			e.tryPropose()
+			e.tryPropose(h)
 			if e.cfg.Clock.Since(lastProgress) > e.cfg.RoundTimeout {
 				e.fireTimeout()
 				lastProgress = e.cfg.Clock.Now()
@@ -244,7 +244,7 @@ func (e *Engine) run() {
 
 // tryPropose makes the round leader propose one block per round: either the
 // next pending payload or an empty block to keep the chain advancing.
-func (e *Engine) tryPropose() {
+func (e *Engine) tryPropose(h clock.Handle) {
 	e.mu.Lock()
 	if !e.running || e.leaderOf(e.round) != e.cfg.ID {
 		e.mu.Unlock()
@@ -283,19 +283,19 @@ func (e *Engine) tryPropose() {
 		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.proposal", msg)
 	}
 	// Vote for our own proposal.
-	e.onVote(voteMsg{BlockID: blk.ID, Round: blk.Round, Voter: e.cfg.ID})
+	e.onVote(h, voteMsg{BlockID: blk.ID, Round: blk.Round, Voter: e.cfg.ID})
 }
 
 // handle processes one message; it reports whether the message indicates
 // protocol progress (for the pacemaker).
-func (e *Engine) handle(m network.Message) bool {
+func (e *Engine) handle(h clock.Handle, m network.Message) bool {
 	switch p := m.Payload.(type) {
 	case proposalMsg:
-		return e.onProposal(p)
+		return e.onProposal(h, p)
 	case voteMsg:
-		return e.onVote(p)
+		return e.onVote(h, p)
 	case qcMsg:
-		return e.onQC(p.QC)
+		return e.onQC(h, p.QC)
 	case timeoutMsg:
 		e.onTimeout(m.From, p)
 		return false
@@ -304,13 +304,13 @@ func (e *Engine) handle(m network.Message) bool {
 	}
 }
 
-func (e *Engine) onProposal(p proposalMsg) bool {
+func (e *Engine) onProposal(h clock.Handle, p proposalMsg) bool {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
 		return false
 	}
-	e.updateQCLocked(p.JustifyQC)
+	e.updateQCLocked(h, p.JustifyQC)
 	if p.Block.Round < e.round || e.voted[p.Block.Round] {
 		e.mu.Unlock()
 		return false
@@ -330,7 +330,7 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	e.mu.Unlock()
 
 	if nextLeader == e.cfg.ID {
-		e.onVote(vote)
+		e.onVote(h, vote)
 	} else {
 		_ = e.cfg.Transport.Send(e.cfg.ID, nextLeader, "diembft.vote", vote)
 	}
@@ -341,7 +341,7 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	return true
 }
 
-func (e *Engine) onVote(v voteMsg) bool {
+func (e *Engine) onVote(h clock.Handle, v voteMsg) bool {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -358,7 +358,7 @@ func (e *Engine) onVote(v voteMsg) bool {
 		return true
 	}
 	newQC := qc{BlockID: v.BlockID, Round: v.Round}
-	changed := e.updateQCLocked(newQC)
+	changed := e.updateQCLocked(h, newQC)
 	e.mu.Unlock()
 	if changed {
 		// Share the certificate so every validator observes the commit.
@@ -372,9 +372,9 @@ func (e *Engine) onVote(v voteMsg) bool {
 	return true
 }
 
-func (e *Engine) onQC(c qc) bool {
+func (e *Engine) onQC(h clock.Handle, c qc) bool {
 	e.mu.Lock()
-	changed := e.updateQCLocked(c)
+	changed := e.updateQCLocked(h, c)
 	e.mu.Unlock()
 	return changed
 }
@@ -382,7 +382,7 @@ func (e *Engine) onQC(c qc) bool {
 // updateQCLocked adopts a higher QC, advances the round past it, and applies
 // the two-chain commit rule. Callers hold e.mu. Returns whether state
 // changed.
-func (e *Engine) updateQCLocked(c qc) bool {
+func (e *Engine) updateQCLocked(h clock.Handle, c qc) bool {
 	if c.Round < e.highQC.Round {
 		return false
 	}
@@ -402,14 +402,14 @@ func (e *Engine) updateQCLocked(c qc) bool {
 		return changed
 	}
 	if b.Round == parent.Round+1 {
-		e.commitChainLocked(parent)
+		e.commitChainLocked(h, parent)
 	}
 	return changed
 }
 
 // commitChainLocked commits the given block and its uncommitted ancestors,
 // oldest first. Callers hold e.mu.
-func (e *Engine) commitChainLocked(b *blockNode) {
+func (e *Engine) commitChainLocked(h clock.Handle, b *blockNode) {
 	if e.committed[b.ID] {
 		return
 	}
@@ -439,7 +439,7 @@ func (e *Engine) commitChainLocked(b *blockNode) {
 			// Release the lock around the callback to avoid re-entrancy
 			// deadlocks.
 			e.mu.Unlock()
-			cb(d)
+			cb(h, d)
 			e.mu.Lock()
 		}
 	}

@@ -38,7 +38,7 @@ func newCluster(t *testing.T, n int) *cluster {
 			Validators:    names,
 			Transport:     c.transport,
 			RoundInterval: 5 * time.Millisecond,
-			OnDecide: func(d consensus.Decision) {
+			OnDecide: func(_ clock.Handle, d consensus.Decision) {
 				c.mu.Lock()
 				c.decided[id] = append(c.decided[id], d)
 				c.mu.Unlock()
@@ -51,9 +51,9 @@ func newCluster(t *testing.T, n int) *cluster {
 	}
 	t.Cleanup(func() {
 		for _, e := range c.engines {
-			e.Stop()
+			e.Stop(clock.Handle{})
 		}
-		c.transport.Stop()
+		c.transport.Stop(clock.Handle{})
 	})
 	return c
 }
@@ -83,7 +83,7 @@ func (c *cluster) waitDecisions(id string, want int, timeout time.Duration) []co
 
 func TestCommitsSubmittedPayload(t *testing.T) {
 	c := newCluster(t, 4)
-	if err := c.engines[0].Submit("tx-block-1"); err != nil {
+	if err := c.engines[0].Submit(clock.Handle{}, "tx-block-1"); err != nil {
 		t.Fatal(err)
 	}
 	ds := c.waitDecisions("diem-0", 1, 5*time.Second)
@@ -98,7 +98,7 @@ func TestAllValidatorsCommitSameOrder(t *testing.T) {
 	for i := 0; i < total; i++ {
 		// Spread submissions across validators; each leader drains its own
 		// pending queue when its round arrives.
-		if err := c.engines[i%4].Submit(fmt.Sprintf("p-%d", i)); err != nil {
+		if err := c.engines[i%4].Submit(clock.Handle{}, fmt.Sprintf("p-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestAllValidatorsCommitSameOrder(t *testing.T) {
 func TestSeqIsGapFree(t *testing.T) {
 	c := newCluster(t, 4)
 	for i := 0; i < 5; i++ {
-		if err := c.engines[0].Submit(i); err != nil {
+		if err := c.engines[0].Submit(clock.Handle{}, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,9 +153,9 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	e := New(Config{ID: "x", Validators: []string{"x"}, Transport: tr})
-	if err := e.Submit("v"); err != consensus.ErrNotRunning {
+	if err := e.Submit(clock.Handle{}, "v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestSurvivesLeaderIsolation(t *testing.T) {
 	// cluster still commits with 3 of 4 (quorum 3).
 	c.transport.Isolate("diem-1")
 	for i := 0; i < 3; i++ {
-		if err := c.engines[0].Submit(fmt.Sprintf("x-%d", i)); err != nil {
+		if err := c.engines[0].Submit(clock.Handle{}, fmt.Sprintf("x-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,14 +175,14 @@ func TestSurvivesLeaderIsolation(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	e := New(Config{ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Stop()
-	_ = e.Submit(1)
-	_ = e.Submit(2)
+	defer e.Stop(clock.Handle{})
+	_ = e.Submit(clock.Handle{}, 1)
+	_ = e.Submit(clock.Handle{}, 2)
 	if n := e.PendingCount(); n < 1 {
 		t.Fatalf("pending = %d, want >= 1", n)
 	}

@@ -123,8 +123,8 @@ func (e *Engine) Start() error {
 	e.running = true
 	e.mu.Unlock()
 
-	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
-		e.events.Send(m, e.stop)
+	e.cfg.Transport.Register(e.cfg.ID, func(h clock.Handle, m network.Message) {
+		e.events.Send(h, m, e.stop)
 	})
 	clock.Fork(e.cfg.Clock, 1)
 	go e.run()
@@ -132,7 +132,7 @@ func (e *Engine) Start() error {
 }
 
 // Stop implements consensus.Engine.
-func (e *Engine) Stop() {
+func (e *Engine) Stop(h clock.Handle) {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -141,13 +141,14 @@ func (e *Engine) Stop() {
 	e.running = false
 	e.mu.Unlock()
 	e.stop.Close()
-	clock.Await(e.cfg.Clock, e.done)
+	h.Await(e.done)
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
 // Submit implements consensus.Engine: the payload is gossiped to every
-// witness and included by whichever produces the next block.
-func (e *Engine) Submit(payload any) error {
+// witness and included by whichever produces the next block. Gossip never
+// decides or parks, so the handle is unused.
+func (e *Engine) Submit(_ clock.Handle, payload any) error {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -204,18 +205,18 @@ func (e *Engine) run() {
 	tick := e.cfg.Clock.NewTicker(e.cfg.BlockInterval)
 	defer tick.Stop()
 	for {
-		switch i, val, _ := clock.Await(e.cfg.Clock, e.stop, e.events, tick); i {
+		switch i, val, _ := h.Await(e.stop, e.events, tick); i {
 		case 0:
 			return
 		case 1:
-			e.handle(val.(network.Message))
+			e.handle(h, val.(network.Message))
 		case 2:
-			e.maybeProduce()
+			e.maybeProduce(h)
 		}
 	}
 }
 
-func (e *Engine) handle(m network.Message) {
+func (e *Engine) handle(h clock.Handle, m network.Message) {
 	switch p := m.Payload.(type) {
 	case gossipMsg:
 		e.mu.Lock()
@@ -225,13 +226,13 @@ func (e *Engine) handle(m network.Message) {
 		}
 		e.mu.Unlock()
 	case blockMsg:
-		e.acceptBlock(p.Block)
+		e.acceptBlock(h, p.Block)
 	}
 }
 
 // maybeProduce creates and broadcasts a block when this witness owns the
 // current slot.
-func (e *Engine) maybeProduce() {
+func (e *Engine) maybeProduce(h clock.Handle) {
 	e.mu.Lock()
 	slot := e.slot
 	if e.witnessForSlot(slot) != e.cfg.ID {
@@ -279,12 +280,12 @@ func (e *Engine) maybeProduce() {
 		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", blockMsg{Block: blk})
 	}
 	if cb != nil {
-		cb(d)
+		cb(h, d)
 	}
 }
 
 // acceptBlock applies a block produced by another witness.
-func (e *Engine) acceptBlock(blk ProducedBlock) {
+func (e *Engine) acceptBlock(h clock.Handle, blk ProducedBlock) {
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
@@ -321,6 +322,6 @@ func (e *Engine) acceptBlock(blk ProducedBlock) {
 	cb := e.cfg.OnDecide
 	e.mu.Unlock()
 	if cb != nil {
-		cb(d)
+		cb(h, d)
 	}
 }

@@ -40,7 +40,7 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 			BlockInterval: interval,
 			MaxBlockItems: maxItems,
 			ShuffleSeed:   7,
-			OnDecide: func(d consensus.Decision) {
+			OnDecide: func(_ clock.Handle, d consensus.Decision) {
 				blk, ok := d.Payload.(ProducedBlock)
 				if !ok {
 					t.Errorf("payload is %T, want ProducedBlock", d.Payload)
@@ -58,9 +58,9 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 	}
 	t.Cleanup(func() {
 		for _, e := range c.engines {
-			e.Stop()
+			e.Stop(clock.Handle{})
 		}
-		c.transport.Stop()
+		c.transport.Stop(clock.Handle{})
 	})
 	return c
 }
@@ -78,7 +78,7 @@ func (c *cluster) collectItems(id string) []any {
 func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 	c := newCluster(t, 3, 10*time.Millisecond, 0)
 	for i := 0; i < 10; i++ {
-		if err := c.engines[i%3].Submit(fmt.Sprintf("op-%d", i)); err != nil {
+		if err := c.engines[i%3].Submit(clock.Handle{}, fmt.Sprintf("op-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 
 func TestAllWitnessesObserveBlocks(t *testing.T) {
 	c := newCluster(t, 4, 10*time.Millisecond, 0)
-	if err := c.engines[0].Submit("payload"); err != nil {
+	if err := c.engines[0].Submit(clock.Handle{}, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -129,7 +129,7 @@ func TestAllWitnessesObserveBlocks(t *testing.T) {
 func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
 	c := newCluster(t, 2, 10*time.Millisecond, 3)
 	for i := 0; i < 10; i++ {
-		if err := c.engines[0].Submit(i); err != nil {
+		if err := c.engines[0].Submit(clock.Handle{}, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,9 +184,9 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	e := New(Config{ID: "x", Witnesses: []string{"x"}, Transport: tr})
-	if err := e.Submit(1); err != consensus.ErrNotRunning {
+	if err := e.Submit(clock.Handle{}, 1); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestFinalizationLatencyTracksInterval(t *testing.T) {
 	c := newCluster(t, 2, interval, 0)
 	time.Sleep(interval) // let the schedule start
 	start := time.Now()
-	if err := c.engines[0].Submit("timed"); err != nil {
+	if err := c.engines[0].Submit(clock.Handle{}, "timed"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -62,10 +62,10 @@ func New(cfg Config) *Engine {
 func (e *Engine) Start() error { return e.core.Start() }
 
 // Stop implements consensus.Engine.
-func (e *Engine) Stop() { e.core.Stop() }
+func (e *Engine) Stop(h clock.Handle) { e.core.Stop(h) }
 
 // Submit implements consensus.Engine.
-func (e *Engine) Submit(payload any) error { return e.core.Submit(payload) }
+func (e *Engine) Submit(h clock.Handle, payload any) error { return e.core.Submit(h, payload) }
 
 // Height returns the next undecided block height.
 func (e *Engine) Height() uint64 { return e.core.Height() }

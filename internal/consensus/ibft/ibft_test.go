@@ -27,7 +27,7 @@ func newValidators(t *testing.T, n int) ([]*Engine, *sync.Mutex, map[string][]co
 			ID:         id,
 			Validators: names,
 			Transport:  tr,
-			OnDecide: func(d consensus.Decision) {
+			OnDecide: func(_ clock.Handle, d consensus.Decision) {
 				mu.Lock()
 				decided[id] = append(decided[id], d)
 				mu.Unlock()
@@ -40,9 +40,9 @@ func newValidators(t *testing.T, n int) ([]*Engine, *sync.Mutex, map[string][]co
 	}
 	t.Cleanup(func() {
 		for _, e := range engines {
-			e.Stop()
+			e.Stop(clock.Handle{})
 		}
-		tr.Stop()
+		tr.Stop(clock.Handle{})
 	})
 	return engines, &mu, decided
 }
@@ -51,7 +51,7 @@ func TestIBFTDecides(t *testing.T) {
 	engines, mu, decided := newValidators(t, 4)
 	for _, e := range engines {
 		if e.IsProposer() {
-			if err := e.Submit("block-1"); err != nil {
+			if err := e.Submit(clock.Handle{}, "block-1"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestIBFTProposerRotates(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for _, e := range engines {
 			if e.IsProposer() {
-				if err := e.Submit(fmt.Sprintf("b%d", i)); err != nil {
+				if err := e.Submit(clock.Handle{}, fmt.Sprintf("b%d", i)); err != nil {
 					t.Fatal(err)
 				}
 				break

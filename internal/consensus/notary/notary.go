@@ -81,28 +81,30 @@ const (
 )
 
 // Signer produces one party's signature over a transaction; implementations
-// typically include simulated flow-processing delay.
-type Signer func(party string, txID crypto.Hash) (crypto.Signature, error)
+// typically include simulated flow-processing delay, charged on the signing
+// actor's handle h.
+type Signer func(h clock.Handle, party string, txID crypto.Hash) (crypto.Signature, error)
 
 // CollectSignatures gathers signatures from all parties using the given
 // mode. In Serial mode the total latency is the sum of per-party latencies;
 // in Parallel mode it is the maximum. Any failure aborts the collection.
 // Parallel collection runs each party's signing on its own clock actor, so
 // under virtual time the concurrent waits overlap exactly as they would on
-// the wall clock.
-func CollectSignatures(clk clock.Clock, mode SigningMode, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
+// the wall clock. h is the calling actor's handle: serial signing runs on
+// it, and parallel collection waits on it for the signers.
+func CollectSignatures(clk clock.Clock, h clock.Handle, mode SigningMode, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	switch mode {
 	case Parallel:
-		return collectParallel(clk, parties, txID, sign)
+		return collectParallel(clk, h, parties, txID, sign)
 	default:
-		return collectSerial(parties, txID, sign)
+		return collectSerial(h, parties, txID, sign)
 	}
 }
 
-func collectSerial(parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
+func collectSerial(h clock.Handle, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	sigs := make([]crypto.Signature, 0, len(parties))
 	for _, p := range parties {
-		sig, err := sign(p, txID)
+		sig, err := sign(h, p, txID)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +113,7 @@ func collectSerial(parties []string, txID crypto.Hash, sign Signer) ([]crypto.Si
 	return sigs, nil
 }
 
-func collectParallel(clk clock.Clock, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
+func collectParallel(clk clock.Clock, h clock.Handle, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	collected := make([]crypto.Signature, len(parties))
 	errs := make([]error, len(parties))
 	wg := clock.NewGroup(clk)
@@ -122,13 +124,13 @@ func collectParallel(clk clock.Clock, parties []string, txID crypto.Hash, sign S
 		go func() {
 			// The txID prefix keeps actor names unique when several flows
 			// collect from the same counterparties concurrently.
-			h := clock.RegisterForked(clk, "notary-sign/"+txID.Short()+"/"+p)
-			defer h.Close()
+			sh := clock.RegisterForked(clk, "notary-sign/"+txID.Short()+"/"+p)
+			defer sh.Close()
 			defer wg.Done()
-			collected[i], errs[i] = sign(p, txID)
+			collected[i], errs[i] = sign(sh, p, txID)
 		}()
 	}
-	wg.Wait()
+	wg.Wait(h)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -99,8 +99,8 @@ func TestCollectSignaturesSerial(t *testing.T) {
 	parties := []string{"node-0", "node-1", "node-2", "node-3"}
 	var order []string
 	var mu sync.Mutex
-	sigs, err := CollectSignatures(clock.New(), Serial, parties, crypto.SumString("tx"),
-		func(p string, txID crypto.Hash) (crypto.Signature, error) {
+	sigs, err := CollectSignatures(clock.New(), clock.Handle{}, Serial, parties, crypto.SumString("tx"),
+		func(_ clock.Handle, p string, txID crypto.Hash) (crypto.Signature, error) {
 			mu.Lock()
 			order = append(order, p)
 			mu.Unlock()
@@ -126,8 +126,8 @@ func TestCollectSignaturesSerialLatencyIsSum(t *testing.T) {
 	parties := []string{"a", "b", "c", "d"}
 	perParty := 20 * time.Millisecond
 	start := time.Now()
-	_, err := CollectSignatures(clock.New(), Serial, parties, crypto.SumString("tx"),
-		func(p string, _ crypto.Hash) (crypto.Signature, error) {
+	_, err := CollectSignatures(clock.New(), clock.Handle{}, Serial, parties, crypto.SumString("tx"),
+		func(_ clock.Handle, p string, _ crypto.Hash) (crypto.Signature, error) {
 			time.Sleep(perParty)
 			return crypto.Signature{Signer: p}, nil
 		})
@@ -143,8 +143,8 @@ func TestCollectSignaturesParallelLatencyIsMax(t *testing.T) {
 	parties := []string{"a", "b", "c", "d"}
 	perParty := 30 * time.Millisecond
 	start := time.Now()
-	sigs, err := CollectSignatures(clock.New(), Parallel, parties, crypto.SumString("tx"),
-		func(p string, _ crypto.Hash) (crypto.Signature, error) {
+	sigs, err := CollectSignatures(clock.New(), clock.Handle{}, Parallel, parties, crypto.SumString("tx"),
+		func(_ clock.Handle, p string, _ crypto.Hash) (crypto.Signature, error) {
 			time.Sleep(perParty)
 			return crypto.Signature{Signer: p}, nil
 		})
@@ -168,8 +168,8 @@ func TestCollectSignaturesParallelLatencyIsMax(t *testing.T) {
 func TestCollectSignaturesPropagatesError(t *testing.T) {
 	wantErr := errors.New("party refused")
 	for _, mode := range []SigningMode{Serial, Parallel} {
-		_, err := CollectSignatures(clock.New(), mode, []string{"a", "b"}, crypto.SumString("tx"),
-			func(p string, _ crypto.Hash) (crypto.Signature, error) {
+		_, err := CollectSignatures(clock.New(), clock.Handle{}, mode, []string{"a", "b"}, crypto.SumString("tx"),
+			func(_ clock.Handle, p string, _ crypto.Hash) (crypto.Signature, error) {
 				if p == "b" {
 					return crypto.Signature{}, wantErr
 				}

@@ -27,7 +27,7 @@ func newReplicas(t *testing.T, n int) ([]*Engine, *sync.Mutex, map[string][]cons
 			ID:        id,
 			Replicas:  names,
 			Transport: tr,
-			OnDecide: func(d consensus.Decision) {
+			OnDecide: func(_ clock.Handle, d consensus.Decision) {
 				mu.Lock()
 				decided[id] = append(decided[id], d)
 				mu.Unlock()
@@ -40,9 +40,9 @@ func newReplicas(t *testing.T, n int) ([]*Engine, *sync.Mutex, map[string][]cons
 	}
 	t.Cleanup(func() {
 		for _, e := range engines {
-			e.Stop()
+			e.Stop(clock.Handle{})
 		}
-		tr.Stop()
+		tr.Stop(clock.Handle{})
 	})
 	return engines, &mu, decided
 }
@@ -63,7 +63,7 @@ func TestPBFTDecidesSequence(t *testing.T) {
 	engines, mu, decided := newReplicas(t, 4)
 	const total = 10
 	for i := 0; i < total; i++ {
-		if err := engines[0].Submit(i); err != nil {
+		if err := engines[0].Submit(clock.Handle{}, i); err != nil {
 			t.Fatal(err)
 		}
 	}

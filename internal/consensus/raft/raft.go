@@ -170,8 +170,8 @@ func (n *Node) Start() error {
 	n.lastHeard = n.cfg.Clock.Now()
 	n.mu.Unlock()
 
-	n.cfg.Transport.Register(n.cfg.ID, func(m network.Message) {
-		n.events.Send(m, n.stop)
+	n.cfg.Transport.Register(n.cfg.ID, func(h clock.Handle, m network.Message) {
+		n.events.Send(h, m, n.stop)
 	})
 	clock.Fork(n.cfg.Clock, 1)
 	go n.run()
@@ -179,7 +179,7 @@ func (n *Node) Start() error {
 }
 
 // Stop implements consensus.Engine.
-func (n *Node) Stop() {
+func (n *Node) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -188,13 +188,13 @@ func (n *Node) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	h.Await(n.done)
 	n.cfg.Transport.Unregister(n.cfg.ID)
 }
 
 // Submit implements consensus.Engine. On the leader it appends to the log;
 // on followers it forwards to the last known leader.
-func (n *Node) Submit(payload any) error {
+func (n *Node) Submit(h clock.Handle, payload any) error {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -205,7 +205,7 @@ func (n *Node) Submit(payload any) error {
 		n.matchIndex[n.cfg.ID] = len(n.log) - 1
 		n.advanceCommitLocked()
 		n.mu.Unlock()
-		n.applyCommitted()
+		n.applyCommitted(h)
 		return nil
 	}
 	leader := n.leaderID
@@ -253,11 +253,11 @@ func (n *Node) run() {
 	electionDeadline := n.randomElectionTimeout()
 
 	for {
-		switch i, val, _ := clock.Await(n.cfg.Clock, n.stop, n.events, tick); i {
+		switch i, val, _ := h.Await(n.stop, n.events, tick); i {
 		case 0:
 			return
 		case 1:
-			n.handle(val.(network.Message))
+			n.handle(h, val.(network.Message))
 		case 2:
 			n.mu.Lock()
 			role := n.role
@@ -279,16 +279,16 @@ func (n *Node) randomElectionTimeout() time.Duration {
 	return base + time.Duration(n.rng.Int63n(int64(base)))
 }
 
-func (n *Node) handle(m network.Message) {
+func (n *Node) handle(h clock.Handle, m network.Message) {
 	switch p := m.Payload.(type) {
 	case requestVote:
 		n.onRequestVote(m.From, p)
 	case voteResponse:
 		n.onVoteResponse(m.From, p)
 	case appendEntries:
-		n.onAppendEntries(m.From, p)
+		n.onAppendEntries(h, m.From, p)
 	case appendResponse:
-		n.onAppendResponse(p)
+		n.onAppendResponse(h, p)
 	case forwardSubmit:
 		n.mu.Lock()
 		if n.role == Leader {
@@ -297,7 +297,7 @@ func (n *Node) handle(m network.Message) {
 			n.advanceCommitLocked()
 		}
 		n.mu.Unlock()
-		n.applyCommitted()
+		n.applyCommitted(h)
 	}
 }
 
@@ -431,7 +431,7 @@ func (n *Node) broadcastAppend() {
 	}
 }
 
-func (n *Node) onAppendEntries(from string, req appendEntries) {
+func (n *Node) onAppendEntries(h clock.Handle, from string, req appendEntries) {
 	n.mu.Lock()
 	if req.Term < n.term {
 		term := n.term
@@ -474,11 +474,11 @@ func (n *Node) onAppendEntries(from string, req appendEntries) {
 	}
 	n.mu.Unlock()
 
-	n.applyCommitted()
+	n.applyCommitted(h)
 	_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.appendResponse", resp)
 }
 
-func (n *Node) onAppendResponse(resp appendResponse) {
+func (n *Node) onAppendResponse(h clock.Handle, resp appendResponse) {
 	n.mu.Lock()
 	if resp.Term > n.term {
 		n.becomeFollowerLocked(resp.Term)
@@ -501,7 +501,7 @@ func (n *Node) onAppendResponse(resp appendResponse) {
 		}
 	}
 	n.mu.Unlock()
-	n.applyCommitted()
+	n.applyCommitted(h)
 }
 
 // advanceCommitLocked moves commitIndex to the highest index replicated on a
@@ -524,7 +524,7 @@ func (n *Node) advanceCommitLocked() {
 	}
 }
 
-func (n *Node) applyCommitted() {
+func (n *Node) applyCommitted(h clock.Handle) {
 	// applyMu guarantees that concurrent callers deliver decisions in
 	// strictly increasing log order, one at a time.
 	n.applyMu.Lock()
@@ -543,7 +543,7 @@ func (n *Node) applyCommitted() {
 		now := n.cfg.Clock.Now()
 		n.mu.Unlock()
 		if cb != nil {
-			cb(consensus.Decision{Seq: seq, Payload: e.Payload, Proposer: leader, DecidedAt: now})
+			cb(h, consensus.Decision{Seq: seq, Payload: e.Payload, Proposer: leader, DecidedAt: now})
 		}
 	}
 }

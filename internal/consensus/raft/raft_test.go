@@ -52,15 +52,15 @@ func newCluster(t *testing.T, n int) *cluster {
 	}
 	t.Cleanup(func() {
 		for _, node := range c.nodes {
-			node.Stop()
+			node.Stop(clock.Handle{})
 		}
-		c.transport.Stop()
+		c.transport.Stop(clock.Handle{})
 	})
 	return c
 }
 
 func (c *cluster) recorder(id string) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(_ clock.Handle, d consensus.Decision) {
 		c.mu.Lock()
 		c.decided[id] = append(c.decided[id], d)
 		c.mu.Unlock()
@@ -128,7 +128,7 @@ func TestReplicatesAndDecides(t *testing.T) {
 	leader := c.waitLeader(2 * time.Second)
 
 	for i := 0; i < 5; i++ {
-		if err := leader.Submit(fmt.Sprintf("block-%d", i)); err != nil {
+		if err := leader.Submit(clock.Handle{}, fmt.Sprintf("block-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestAgreementAcrossNodes(t *testing.T) {
 	c := newCluster(t, 5)
 	leader := c.waitLeader(2 * time.Second)
 	for i := 0; i < 20; i++ {
-		if err := leader.Submit(i); err != nil {
+		if err := leader.Submit(clock.Handle{}, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestFollowerForwardsSubmit(t *testing.T) {
 	if follower == nil {
 		t.Fatal("no follower knows the leader")
 	}
-	if err := follower.Submit("forwarded"); err != nil {
+	if err := follower.Submit(clock.Handle{}, "forwarded"); err != nil {
 		t.Fatal(err)
 	}
 	ds := c.waitDecisions(follower.cfg.ID, 1, 3*time.Second)
@@ -204,7 +204,7 @@ func TestFollowerForwardsSubmit(t *testing.T) {
 func TestLeaderFailover(t *testing.T) {
 	c := newCluster(t, 3)
 	leader := c.waitLeader(2 * time.Second)
-	if err := leader.Submit("before-failover"); err != nil {
+	if err := leader.Submit(clock.Handle{}, "before-failover"); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range c.nodes {
@@ -227,7 +227,7 @@ func TestLeaderFailover(t *testing.T) {
 	if newLeader == nil {
 		t.Fatal("no new leader after isolating old leader")
 	}
-	if err := newLeader.Submit("after-failover"); err != nil {
+	if err := newLeader.Submit(clock.Handle{}, "after-failover"); err != nil {
 		t.Fatal(err)
 	}
 	ds := c.waitDecisions(newLeader.cfg.ID, 2, 3*time.Second)
@@ -238,7 +238,7 @@ func TestLeaderFailover(t *testing.T) {
 
 func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	n := New(Config{
 		ID:        "solo-follower",
 		Peers:     []string{"solo-follower", "ghost-1", "ghost-2"},
@@ -249,35 +249,35 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer n.Stop()
-	if err := n.Submit("x"); err != consensus.ErrNotLeader {
+	defer n.Stop(clock.Handle{})
+	if err := n.Submit(clock.Handle{}, "x"); err != consensus.ErrNotLeader {
 		t.Fatalf("err = %v, want ErrNotLeader", err)
 	}
 }
 
 func TestSubmitAfterStop(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	n := New(Config{ID: "a", Peers: []string{"a"}, Transport: tr})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	n.Stop()
-	if err := n.Submit("x"); err != consensus.ErrNotRunning {
+	n.Stop(clock.Handle{})
+	if err := n.Submit(clock.Handle{}, "x"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
 
 func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var mu sync.Mutex
 	var got []any
 	n := New(Config{
 		ID:        "solo",
 		Peers:     []string{"solo"},
 		Transport: tr,
-		OnDecide: func(d consensus.Decision) {
+		OnDecide: func(_ clock.Handle, d consensus.Decision) {
 			mu.Lock()
 			got = append(got, d.Payload)
 			mu.Unlock()
@@ -288,7 +288,7 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer n.Stop()
+	defer n.Stop(clock.Handle{})
 
 	deadline := time.Now().Add(2 * time.Second)
 	for n.Role() != Leader && time.Now().Before(deadline) {
@@ -297,7 +297,7 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 	if n.Role() != Leader {
 		t.Fatal("single node did not become leader")
 	}
-	if err := n.Submit("only"); err != nil {
+	if err := n.Submit(clock.Handle{}, "only"); err != nil {
 		t.Fatal(err)
 	}
 	for time.Now().Before(deadline) {
@@ -326,7 +326,7 @@ func TestDecisionsAreGapFree(t *testing.T) {
 	leader := c.waitLeader(2 * time.Second)
 	const total = 50
 	for i := 0; i < total; i++ {
-		if err := leader.Submit(i); err != nil {
+		if err := leader.Submit(clock.Handle{}, i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func newStubDriver(nodes int) *stubDriver { return &stubDriver{nodes: nodes} }
 
 func (s *stubDriver) Name() string                             { return "stub" }
 func (s *stubDriver) Start() error                             { return nil }
-func (s *stubDriver) Stop()                                    {}
+func (s *stubDriver) Stop(clock.Handle)                        {}
 func (s *stubDriver) Submit(_ int, _ *chain.Transaction) error { return nil }
 func (s *stubDriver) Subscribe(_ string, _ systems.EventFunc)  {}
 func (s *stubDriver) NodeCount() int                           { return s.nodes }
@@ -44,7 +44,7 @@ func (s *stubDriver) CrashNode(node int) error {
 	return nil
 }
 
-func (s *stubDriver) RestartNode(node int) error {
+func (s *stubDriver) RestartNode(_ clock.Handle, node int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if node < 0 || node >= s.nodes {
@@ -193,7 +193,7 @@ func TestInjectorDeterministicUnderVirtualClock(t *testing.T) {
 			}
 			waitApplied(t, in, want)
 		}
-		in.Stop()
+		in.Stop(clock.Handle{})
 		var ats []time.Time
 		for _, a := range in.Applied() {
 			ats = append(ats, a.At)
@@ -228,24 +228,24 @@ func TestInjectorIdempotence(t *testing.T) {
 	d := newStubDriver(4)
 	in := NewInjector(d, Schedule{}, clock.New())
 
-	if err := in.Apply(Event{Kind: CrashNode, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: CrashNode, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: CrashNode, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: CrashNode, Node: 1}); err != nil {
 		t.Fatalf("double crash errored: %v", err)
 	}
 	if d.crashes != 1 {
 		t.Fatalf("driver saw %d crashes, want 1 (double-crash must be a no-op)", d.crashes)
 	}
 
-	if err := in.Apply(Event{Kind: Heal}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Heal}); err != nil {
 		t.Fatalf("heal without partition errored: %v", err)
 	}
 	if d.restarts != 0 {
 		t.Fatal("heal without partition restarted nodes")
 	}
 
-	if err := in.Apply(Event{Kind: RestartNode, Node: 2}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: RestartNode, Node: 2}); err != nil {
 		t.Fatalf("restart of a running node errored: %v", err)
 	}
 	if d.restarts != 0 {
@@ -254,19 +254,19 @@ func TestInjectorIdempotence(t *testing.T) {
 
 	// A partition over an already-crashed node must not double-crash it,
 	// and healing must not restart it (its explicit crash owns it).
-	if err := in.Apply(Event{Kind: Partition, Group: []int{1, 3}}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Partition, Group: []int{1, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if d.crashes != 2 {
 		t.Fatalf("driver saw %d crashes, want 2 (partition must skip the crashed node)", d.crashes)
 	}
-	if err := in.Apply(Event{Kind: Partition, Group: []int{2}}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Partition, Group: []int{2}}); err != nil {
 		t.Fatalf("overlapping partition errored: %v", err)
 	}
 	if d.crashes != 2 {
 		t.Fatal("overlapping partition crashed more nodes")
 	}
-	if err := in.Apply(Event{Kind: Heal}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Heal}); err != nil {
 		t.Fatal(err)
 	}
 	if d.restarts != 1 {
@@ -281,19 +281,19 @@ func TestInjectorHealLeavesExplicitCrashesDown(t *testing.T) {
 	d := newStubDriver(4)
 	in := NewInjector(d, Schedule{}, clock.New())
 
-	if err := in.Apply(Event{Kind: Partition, Group: []int{1, 2}}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Partition, Group: []int{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: CrashNode, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: CrashNode, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: Heal}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Heal}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.callLog(); len(got) != 4 || got[3] != "restart:2" {
 		t.Fatalf("call log = %v, want heal to restart only node 2", got)
 	}
-	if err := in.Apply(Event{Kind: RestartNode, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: RestartNode, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if d.restarts != 2 {
@@ -307,10 +307,10 @@ func TestInjectorHealLeavesExplicitCrashesDown(t *testing.T) {
 func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
 	d := newStubDriver(4) // no TransportAccessor
 	in := NewInjector(d, Schedule{}, clock.New())
-	if err := in.Apply(Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: SlowNode, Node: 1, Extra: time.Millisecond}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: SlowNode, Node: 1, Extra: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(in.Applied()); n != 0 {
@@ -333,11 +333,11 @@ func TestInjectorNilTransportIsNoFabric(t *testing.T) {
 		{Kind: SlowNode, Node: 1, Extra: time.Millisecond},
 		{Kind: Heal},
 	} {
-		if err := in.Apply(ev); err != nil {
+		if err := in.Apply(clock.Handle{}, ev); err != nil {
 			t.Fatalf("%v: %v", ev.Kind, err)
 		}
 	}
-	in.Stop()
+	in.Stop(clock.Handle{})
 	var kinds []Kind
 	for _, a := range in.Applied() {
 		kinds = append(kinds, a.Event.Kind)
@@ -356,25 +356,25 @@ func TestInjectorStopRestoresHealth(t *testing.T) {
 	d := &transportStub{}
 	d.nodes = 4
 	d.tr = network.NewTransport(clock.New(), nil)
-	defer d.tr.Stop()
+	defer d.tr.Stop(clock.Handle{})
 	for i := 0; i < 4; i++ {
-		d.tr.Register(fmt.Sprintf("n%d", i), func(network.Message) {})
+		d.tr.Register(fmt.Sprintf("n%d", i), func(clock.Handle, network.Message) {})
 	}
 
 	in := NewInjector(d, Schedule{}, clock.New())
-	if err := in.Apply(Event{Kind: CrashNode, Node: 0}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: CrashNode, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: Partition, Group: []int{3}}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: Partition, Group: []int{3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: SlowNode, Node: 1, Extra: time.Millisecond, Loss: 0.5}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: SlowNode, Node: 1, Extra: time.Millisecond, Loss: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if d.tr.DegradedCount() == 0 {
 		t.Fatal("SlowNode degraded no links")
 	}
-	in.Stop()
+	in.Stop(clock.Handle{})
 	if d.restarts != 2 {
 		t.Fatalf("Stop restarted %d nodes, want 2", d.restarts)
 	}
@@ -389,12 +389,12 @@ func TestInjectorDegradeAllLinks(t *testing.T) {
 	d := &transportStub{}
 	d.nodes = 3
 	d.tr = network.NewTransport(clock.New(), nil)
-	defer d.tr.Stop()
+	defer d.tr.Stop(clock.Handle{})
 	for i := 0; i < 3; i++ {
-		d.tr.Register(fmt.Sprintf("n%d", i), func(network.Message) {})
+		d.tr.Register(fmt.Sprintf("n%d", i), func(clock.Handle, network.Message) {})
 	}
 	in := NewInjector(d, Schedule{}, clock.New())
-	if err := in.Apply(Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.tr.DegradedCount(), 6; got != want { // 3 endpoints × 2 directions each pair

@@ -92,12 +92,13 @@ func (in *Injector) Start() {
 // Stop halts the timeline and restores the system to health: crashed and
 // partitioned nodes restart (replaying their missed commits) and link
 // degradations clear, so a benchmark phase always hands a healthy system
-// to the next one. Stop is idempotent and safe without Start.
-func (in *Injector) Stop() {
+// to the next one; the recovery cost is charged on the caller's handle h.
+// Stop is idempotent and safe without Start.
+func (in *Injector) Stop(h clock.Handle) {
 	in.stopOnce.Do(func() { in.stop.Close() })
 	in.startOnce.Do(func() { in.done.Close() }) // never started: nothing to wait for
-	clock.Await(in.clk, in.done)
-	in.restoreAll()
+	h.Await(in.done)
+	in.restoreAll(h)
 }
 
 func (in *Injector) run(start time.Time) {
@@ -107,7 +108,7 @@ func (in *Injector) run(start time.Time) {
 	for _, ev := range in.sched {
 		if wait := ev.At - in.clk.Since(start); wait > 0 {
 			t := in.clk.NewTimer(wait)
-			if i, _, _ := clock.Await(in.clk, in.stop, t); i == 0 {
+			if i, _, _ := h.Await(in.stop, t); i == 0 {
 				t.Stop()
 				return
 			}
@@ -115,14 +116,14 @@ func (in *Injector) run(start time.Time) {
 		if in.stop.Closed() {
 			return
 		}
-		in.Apply(ev)
+		in.Apply(h, ev)
 	}
 }
 
-// Apply executes one event immediately (also used by tests to drive faults
-// synchronously). It returns the driver error, if any; state-machine
-// no-ops return nil.
-func (in *Injector) Apply(ev Event) error {
+// Apply executes one event immediately on the caller's handle h (also used
+// by tests to drive faults synchronously). It returns the driver error, if
+// any; state-machine no-ops return nil.
+func (in *Injector) Apply(h clock.Handle, ev Event) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var err error
@@ -138,7 +139,7 @@ func (in *Injector) Apply(ev Event) error {
 		if !in.crashed[ev.Node] {
 			return nil // restart of a running node: no-op
 		}
-		if err = in.drv.RestartNode(ev.Node); err == nil {
+		if err = in.drv.RestartNode(h, ev.Node); err == nil {
 			delete(in.crashed, ev.Node)
 		}
 	case Partition:
@@ -164,7 +165,7 @@ func (in *Injector) Apply(ev Event) error {
 				// own RestartNode event owns the recovery.
 				continue
 			}
-			if e := in.drv.RestartNode(node); e != nil {
+			if e := in.drv.RestartNode(h, node); e != nil {
 				err = e
 			}
 		}
@@ -239,15 +240,15 @@ func (in *Injector) corruptLog(ev Event) bool {
 }
 
 // restoreAll returns the system to full health.
-func (in *Injector) restoreAll() {
+func (in *Injector) restoreAll(h clock.Handle) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, node := range in.partitioned {
-		_ = in.drv.RestartNode(node)
+		_ = in.drv.RestartNode(h, node)
 	}
 	in.partitioned = nil
 	for node := range in.crashed {
-		_ = in.drv.RestartNode(node)
+		_ = in.drv.RestartNode(h, node)
 		delete(in.crashed, node)
 	}
 	in.healLinks()

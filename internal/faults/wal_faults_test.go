@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
@@ -103,10 +104,10 @@ func TestInjectorAppliesLogCorruption(t *testing.T) {
 		drv.logs[1].Append(1)
 	}
 	in := NewInjector(drv, Schedule{}, nil)
-	if err := in.Apply(Event{Kind: TornWrite, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: TornWrite, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Apply(Event{Kind: CorruptRecord, Node: 1}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: CorruptRecord, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rep := drv.logs[1].Replay()
@@ -122,11 +123,11 @@ func TestInjectorAppliesLogCorruption(t *testing.T) {
 
 	// Node 0 has no log, and a plain stubDriver has no WALAccessor at all:
 	// both decay to unrecorded no-ops.
-	if err := in.Apply(Event{Kind: TornWrite, Node: 0}); err != nil {
+	if err := in.Apply(clock.Handle{}, Event{Kind: TornWrite, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
 	plain := NewInjector(newStubDriver(2), Schedule{}, nil)
-	if err := plain.Apply(Event{Kind: CorruptRecord, Node: 0}); err != nil {
+	if err := plain.Apply(clock.Handle{}, Event{Kind: CorruptRecord, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(in.Applied()) + len(plain.Applied()); got != 2 {

@@ -11,10 +11,10 @@ import (
 // ExampleTransport wires two endpoints and delivers a message.
 func ExampleTransport() {
 	tr := network.NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 
 	done := make(chan network.Message, 1)
-	tr.Register("node-b", func(m network.Message) { done <- m })
+	tr.Register("node-b", func(_ clock.Handle, m network.Message) { done <- m })
 
 	if err := tr.Send("node-a", "node-b", "ping", "hello"); err != nil {
 		fmt.Println("error:", err)

@@ -26,9 +26,9 @@ func waitDelivered(t *testing.T, tr *Transport, want uint64, timeout time.Durati
 // resuming.
 func TestHealAllUndoesIsolate(t *testing.T) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	for _, name := range []string{"a", "b", "c"} {
-		tr.Register(name, func(Message) {})
+		tr.Register(name, func(clock.Handle, Message) {})
 	}
 
 	if err := tr.Send("a", "b", "k", 1); err != nil {
@@ -76,10 +76,10 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 // configured extra on top of the (zero) latency model.
 func TestDegradeLinkAddsLatency(t *testing.T) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var deliveredAt atomic.Int64
-	tr.Register("dst", func(m Message) { deliveredAt.Store(time.Now().UnixNano()) })
-	tr.Register("src", func(Message) {})
+	tr.Register("dst", func(_ clock.Handle, m Message) { deliveredAt.Store(time.Now().UnixNano()) })
+	tr.Register("src", func(clock.Handle, Message) {})
 
 	const extra = 60 * time.Millisecond
 	tr.DegradeLink("src", "dst", extra, 0)
@@ -107,10 +107,10 @@ func TestDegradeLinkAddsLatency(t *testing.T) {
 // advance, and nothing is delivered.
 func TestDegradeLinkLoss(t *testing.T) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var got atomic.Int64
-	tr.Register("dst", func(Message) { got.Add(1) })
-	tr.Register("src", func(Message) {})
+	tr.Register("dst", func(clock.Handle, Message) { got.Add(1) })
+	tr.Register("src", func(clock.Handle, Message) {})
 
 	tr.DegradeLink("src", "dst", 0, 1.0)
 	const n = 20

@@ -11,9 +11,9 @@ import (
 
 func BenchmarkTransportSendDeliver(b *testing.B) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var wg sync.WaitGroup
-	tr.Register("sink", func(Message) { wg.Done() })
+	tr.Register("sink", func(clock.Handle, Message) { wg.Done() })
 	payload := &benchPayload{seq: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -37,11 +37,11 @@ type benchPayload struct{ seq uint64 }
 // and gossip endpoint sends concurrently on its own links.
 func BenchmarkTransportSendParallel(b *testing.B) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var wg sync.WaitGroup
 	const sinks = 8
 	for i := 0; i < sinks; i++ {
-		tr.Register(fmt.Sprintf("sink-%d", i), func(Message) { wg.Done() })
+		tr.Register(fmt.Sprintf("sink-%d", i), func(clock.Handle, Message) { wg.Done() })
 	}
 	var next int
 	var mu sync.Mutex
@@ -67,10 +67,10 @@ func BenchmarkTransportSendParallel(b *testing.B) {
 
 func BenchmarkTransportBroadcast(b *testing.B) {
 	tr := NewTransport(clock.New(), nil)
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var wg sync.WaitGroup
 	for _, name := range []string{"n1", "n2", "n3", "n4"} {
-		tr.Register(name, func(Message) { wg.Done() })
+		tr.Register(name, func(clock.Handle, Message) { wg.Done() })
 	}
 	payload := &benchPayload{seq: 1}
 	b.ReportAllocs()

@@ -72,14 +72,14 @@ func TestMeasureLatencyEmpty(t *testing.T) {
 func newTestTransport(t *testing.T) *Transport {
 	t.Helper()
 	tr := NewTransport(clock.New(), nil)
-	t.Cleanup(tr.Stop)
+	t.Cleanup(func() { tr.Stop(clock.Handle{}) })
 	return tr
 }
 
 func TestTransportDelivers(t *testing.T) {
 	tr := newTestTransport(t)
 	got := make(chan Message, 1)
-	tr.Register("b", func(m Message) { got <- m })
+	tr.Register("b", func(_ clock.Handle, m Message) { got <- m })
 
 	if err := tr.Send("a", "b", "ping", 42); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTransportFIFOPerLink(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	done := make(chan struct{})
-	tr.Register("dst", func(m Message) {
+	tr.Register("dst", func(_ clock.Handle, m Message) {
 		mu.Lock()
 		order = append(order, m.Payload.(int))
 		if len(order) == 100 {
@@ -140,14 +140,14 @@ func TestTransportBroadcast(t *testing.T) {
 	wg.Add(3)
 	for _, name := range []string{"n1", "n2", "n3"} {
 		name := name
-		tr.Register(name, func(Message) {
+		tr.Register(name, func(clock.Handle, Message) {
 			mu.Lock()
 			recv[name]++
 			mu.Unlock()
 			wg.Done()
 		})
 	}
-	tr.Register("sender", func(Message) { t.Error("sender must not receive its own broadcast") })
+	tr.Register("sender", func(clock.Handle, Message) { t.Error("sender must not receive its own broadcast") })
 
 	if n := tr.Broadcast("sender", "hello", nil); n != 3 {
 		t.Fatalf("broadcast reached %d endpoints, want 3", n)
@@ -165,7 +165,7 @@ func TestTransportBroadcast(t *testing.T) {
 func TestTransportCutAndHealLink(t *testing.T) {
 	tr := newTestTransport(t)
 	got := make(chan Message, 2)
-	tr.Register("b", func(m Message) { got <- m })
+	tr.Register("b", func(_ clock.Handle, m Message) { got <- m })
 
 	tr.CutLink("a", "b")
 	if err := tr.Send("a", "b", "x", nil); err == nil {
@@ -184,8 +184,8 @@ func TestTransportCutAndHealLink(t *testing.T) {
 
 func TestTransportIsolate(t *testing.T) {
 	tr := newTestTransport(t)
-	tr.Register("a", func(Message) {})
-	tr.Register("b", func(Message) {})
+	tr.Register("a", func(clock.Handle, Message) {})
+	tr.Register("b", func(clock.Handle, Message) {})
 	tr.Isolate("a")
 	if err := tr.Send("a", "b", "x", nil); err == nil {
 		t.Fatal("isolated node should not send")
@@ -197,9 +197,9 @@ func TestTransportIsolate(t *testing.T) {
 
 func TestTransportLatencyDelaysDelivery(t *testing.T) {
 	tr := NewTransport(clock.New(), ConstantLatency{D: 50 * time.Millisecond})
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	got := make(chan time.Time, 1)
-	tr.Register("b", func(Message) { got <- time.Now() })
+	tr.Register("b", func(clock.Handle, Message) { got <- time.Now() })
 	start := time.Now()
 	if err := tr.Send("a", "b", "x", nil); err != nil {
 		t.Fatal(err)
@@ -216,18 +216,18 @@ func TestTransportLatencyDelaysDelivery(t *testing.T) {
 
 func TestTransportStopRejectsSends(t *testing.T) {
 	tr := NewTransport(clock.New(), nil)
-	tr.Register("b", func(Message) {})
-	tr.Stop()
+	tr.Register("b", func(clock.Handle, Message) {})
+	tr.Stop(clock.Handle{})
 	if err := tr.Send("a", "b", "x", nil); err == nil {
 		t.Fatal("expected ErrStopped")
 	}
 	// Stop must be idempotent.
-	tr.Stop()
+	tr.Stop(clock.Handle{})
 }
 
 func TestTransportUnregister(t *testing.T) {
 	tr := newTestTransport(t)
-	tr.Register("b", func(Message) {})
+	tr.Register("b", func(clock.Handle, Message) {})
 	tr.Unregister("b")
 	if err := tr.Send("a", "b", "x", nil); err == nil {
 		t.Fatal("expected error after unregister")
@@ -238,7 +238,7 @@ func TestTransportStats(t *testing.T) {
 	tr := newTestTransport(t)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	tr.Register("b", func(Message) { wg.Done() })
+	tr.Register("b", func(clock.Handle, Message) { wg.Done() })
 	_ = tr.Send("a", "b", "x", nil)
 	_ = tr.Send("a", "b", "x", nil)
 	waitDone(t, &wg)
@@ -250,8 +250,8 @@ func TestTransportStats(t *testing.T) {
 
 func TestTransportEndpoints(t *testing.T) {
 	tr := newTestTransport(t)
-	tr.Register("x", func(Message) {})
-	tr.Register("y", func(Message) {})
+	tr.Register("x", func(clock.Handle, Message) {})
+	tr.Register("y", func(clock.Handle, Message) {})
 	if got := len(tr.Endpoints()); got != 2 {
 		t.Fatalf("endpoints = %d, want 2", got)
 	}
@@ -272,11 +272,11 @@ func TestTransportFIFOUnderRandomLatency(t *testing.T) {
 	// Per-link FIFO must hold even when each message draws a random delay:
 	// the delivery queue is serial per endpoint.
 	tr := NewTransport(clock.New(), NewNormalLatency(500*time.Microsecond, 200*time.Microsecond, 99))
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 	var mu sync.Mutex
 	var order []int
 	done := make(chan struct{})
-	tr.Register("dst", func(m Message) {
+	tr.Register("dst", func(_ clock.Handle, m Message) {
 		mu.Lock()
 		order = append(order, m.Payload.(int))
 		if len(order) == 50 {

@@ -22,11 +22,11 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 		lat.SetLink("b", "dst", ConstantLatency{D: 10 * time.Millisecond})
 		lat.SetLink("c", "dst", ConstantLatency{D: 20 * time.Millisecond})
 		tr := NewTransport(clk, lat)
-		defer tr.Stop()
+		defer tr.Stop(clock.Handle{})
 
 		var mu sync.Mutex
 		var order []string
-		tr.Register("dst", func(m Message) {
+		tr.Register("dst", func(_ clock.Handle, m Message) {
 			mu.Lock()
 			order = append(order, m.From+":"+m.Kind)
 			mu.Unlock()
@@ -69,7 +69,7 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 // clamp makes later sends on a link never overtake earlier ones.
 func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 	tr := NewTransport(clock.New(), NewNormalLatency(300*time.Microsecond, 300*time.Microsecond, 7))
-	defer tr.Stop()
+	defer tr.Stop(clock.Handle{})
 
 	const senders = 4
 	const perSender = 150
@@ -78,7 +78,7 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 	var violations []string
 	done := make(chan struct{})
 	total := 0
-	tr.Register("dst", func(m Message) {
+	tr.Register("dst", func(_ clock.Handle, m Message) {
 		mu.Lock()
 		seq := m.Payload.(int)
 		if prev, ok := last[m.From]; ok && seq <= prev {
@@ -124,8 +124,8 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 func TestQueueOverflowDropAccounting(t *testing.T) {
 	// One-hour latency parks every message in the scheduler (far heap).
 	tr := NewTransport(clock.New(), ConstantLatency{D: time.Hour})
-	defer tr.Stop()
-	tr.Register("dst", func(Message) { t.Error("nothing should be delivered") })
+	defer tr.Stop(clock.Handle{})
+	tr.Register("dst", func(clock.Handle, Message) { t.Error("nothing should be delivered") })
 
 	const excess = 50
 	fails := 0
@@ -163,15 +163,15 @@ func TestQueueOverflowDropAccounting(t *testing.T) {
 func TestDegradedLossDeterministicPerLink(t *testing.T) {
 	run := func(interleave bool) int {
 		tr := NewTransport(clock.New(), nil)
-		defer tr.Stop()
+		defer tr.Stop(clock.Handle{})
 		var fromA atomic.Int64
-		tr.Register("b", func(m Message) {
+		tr.Register("b", func(_ clock.Handle, m Message) {
 			if m.From == "a" {
 				fromA.Add(1)
 			}
 		})
-		tr.Register("a", func(Message) {})
-		tr.Register("c", func(Message) {})
+		tr.Register("a", func(clock.Handle, Message) {})
+		tr.Register("c", func(clock.Handle, Message) {})
 		tr.DegradeLink("a", "b", 0, 0.3)
 		tr.DegradeLink("c", "b", 0, 0.5)
 
@@ -219,7 +219,7 @@ func TestSchedulerStressRace(t *testing.T) {
 	var received atomic.Int64
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
-		tr.Register(names[i], func(Message) { received.Add(1) })
+		tr.Register(names[i], func(clock.Handle, Message) { received.Add(1) })
 	}
 
 	stop := make(chan struct{})
@@ -286,7 +286,7 @@ func TestSchedulerStressRace(t *testing.T) {
 				return
 			default:
 			}
-			tr.Register("flappy", func(Message) {})
+			tr.Register("flappy", func(clock.Handle, Message) {})
 			time.Sleep(200 * time.Microsecond)
 			tr.Unregister("flappy")
 		}
@@ -295,7 +295,7 @@ func TestSchedulerStressRace(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	tr.Stop()
+	tr.Stop(clock.Handle{})
 
 	sent, delivered, dropped := tr.Stats()
 	if delivered+dropped > sent {
@@ -319,7 +319,7 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 		clk := clock.NewVirtual(time.Unix(0, 0))
 		tr := NewTransport(clk, ConstantLatency{D: 10 * time.Millisecond})
 		got := make(chan Message, 1)
-		tr.Register("dst", func(m Message) { got <- m })
+		tr.Register("dst", func(_ clock.Handle, m Message) { got <- m })
 		if err := tr.Send("src", "dst", "k", i); err != nil {
 			t.Fatal(err)
 		}
@@ -330,6 +330,6 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("iteration %d: message due exactly at the advanced instant never delivered", i)
 		}
-		tr.Stop()
+		tr.Stop(clock.Handle{})
 	}
 }

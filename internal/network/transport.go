@@ -25,8 +25,10 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run on the transport's
-// delivery workers and must not block indefinitely.
-type Handler func(Message)
+// delivery workers and must not block indefinitely; h is the delivering
+// worker's clock handle, for handlers that hand the message on through a
+// clock primitive.
+type Handler func(h clock.Handle, m Message)
 
 // Errors returned by Transport operations.
 var (
@@ -479,9 +481,10 @@ func (t *Transport) Stats() (sent, delivered, dropped uint64) {
 	return sent, delivered, dropped
 }
 
-// Stop shuts down the delivery workers and waits for them to exit. Queued
-// messages are dropped (uncounted), matching a fabric torn down mid-flight.
-func (t *Transport) Stop() {
+// Stop shuts down the delivery workers and waits for them to exit; h is
+// the caller's clock handle. Queued messages are dropped (uncounted),
+// matching a fabric torn down mid-flight.
+func (t *Transport) Stop(h clock.Handle) {
 	t.mu.Lock()
 	st := t.state.Load()
 	if st.stopped {
@@ -499,5 +502,5 @@ func (t *Transport) Stop() {
 	})
 	t.mu.Unlock()
 	t.stop.Close()
-	t.wg.Wait()
+	t.wg.Wait(h)
 }

@@ -211,11 +211,11 @@ func (t *Transport) worker(i int, sh *shard) {
 		var next int64
 		batch, next = sh.collect(nowN, batch[:0])
 		if len(batch) > 0 {
-			t.deliverBatch(sh, batch)
+			t.deliverBatch(h, sh, batch)
 			continue
 		}
 		if next == math.MaxInt64 {
-			if idx, _, _ := clock.Await(t.clk, t.stop, sh.notify); idx == 0 {
+			if idx, _, _ := h.Await(t.stop, sh.notify); idx == 0 {
 				return
 			}
 			continue
@@ -225,7 +225,7 @@ func (t *Transport) worker(i int, sh *shard) {
 		// (the duration would be re-based on the advanced clock).
 		// NewTimerAt fires immediately when the deadline already passed.
 		timer := t.clk.NewTimerAt(t.t0.Add(time.Duration(next)))
-		idx, _, _ := clock.Await(t.clk, t.stop, sh.notify, timer)
+		idx, _, _ := h.Await(t.stop, sh.notify, timer)
 		if idx != 2 {
 			timer.Stop()
 		}
@@ -236,8 +236,8 @@ func (t *Transport) worker(i int, sh *shard) {
 }
 
 // deliverBatch hands a due batch to the endpoint handlers in (readyNanos,
-// seq) order and recycles the items.
-func (t *Transport) deliverBatch(sh *shard, batch []*item) {
+// seq) order, on the worker's handle h, and recycles the items.
+func (t *Transport) deliverBatch(h clock.Handle, sh *shard, batch []*item) {
 	slices.SortFunc(batch, func(a, b *item) int {
 		if a.readyNanos != b.readyNanos {
 			if a.readyNanos < b.readyNanos {
@@ -254,8 +254,8 @@ func (t *Transport) deliverBatch(sh *shard, batch []*item) {
 		ep := it.ep
 		ep.pending.Add(-1)
 		if !ep.closed.Load() {
-			if h := ep.handler.Load(); h != nil {
-				(*h)(it.msg)
+			if fn := ep.handler.Load(); fn != nil {
+				(*fn)(h, it.msg)
 			}
 			sh.stats.delivered.Add(1)
 		}

@@ -173,7 +173,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -182,9 +182,9 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	for _, nd := range n.nodes {
-		nd.engine.Stop()
+		nd.engine.Stop(h)
 	}
-	n.StopTransport()
+	n.StopTransport(h)
 }
 
 // Submit implements systems.Driver: the transaction is gossiped to all
@@ -200,7 +200,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	if nd.Gate.Down() {
 		return systems.ErrNodeDown // the client's API node is unreachable
 	}
-	if err := nd.engine.Submit(tx); err != nil {
+	// DPoS Submit only gossips: it never parks, so it needs no caller
+	// handle.
+	if err := nd.engine.Submit(clock.Handle{}, tx); err != nil {
 		return err
 	}
 	tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
@@ -273,12 +275,12 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 // crashed node buffers produced blocks and replays them on restart
 // (Graphene's chain resync).
 func (n *Network) makeDecideFunc(nd *node) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(h clock.Handle, d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(dpos.ProducedBlock); ok {
 			txs = len(blk.Items)
 		}
-		nd.Gate.Commit(txs, func() { n.applyDecision(nd, d) })
+		nd.Gate.Commit(h, txs, func() { n.applyDecision(nd, d) })
 	}
 }
 

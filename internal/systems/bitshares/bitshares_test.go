@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
@@ -69,7 +70,7 @@ func newNetwork(t *testing.T, cfg Config) (*Network, *collector) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(n.Stop)
+	t.Cleanup(func() { n.Stop(clock.Handle{}) })
 	return n, col
 }
 
@@ -208,7 +209,7 @@ func TestSubmitAfterStop(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	n.Stop()
+	n.Stop(clock.Handle{})
 	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")

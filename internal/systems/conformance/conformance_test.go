@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -24,6 +25,10 @@ import (
 	"github.com/coconut-bench/coconut/internal/systems/quorum"
 	"github.com/coconut-bench/coconut/internal/systems/sawtooth"
 )
+
+// wall is the test code's handle: the candidates run on the wall clock,
+// where a restart sleeps out its modeled recovery cost.
+var wall = clock.Register(clock.New(), "conformance")
 
 // candidate provisions one system with fast test parameters.
 type candidate struct {
@@ -131,7 +136,7 @@ func TestContractCommitsEndToEnd(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 
 			const txs = 5
 			for i := 0; i < txs; i++ {
@@ -171,7 +176,7 @@ func TestContractEventsRoutePerClient(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 
 			txA := chain.NewSingleOp("client-a", 1, iel.DoNothingName, iel.FnDoNothing)
 			txB := chain.NewSingleOp("client-b", 1, iel.DoNothingName, iel.FnDoNothing)
@@ -207,7 +212,7 @@ func TestContractNoDuplicateEvents(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 
 			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
 			if err := d.Submit(0, tx); err != nil {
@@ -231,7 +236,7 @@ func TestContractSubmitAfterStopFails(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			d.Stop()
+			d.Stop(wall)
 			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
 			if err := d.Submit(0, tx); err == nil {
 				t.Fatal("Submit after Stop must fail")
@@ -248,8 +253,8 @@ func TestContractStopIsIdempotent(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			d.Stop()
-			d.Stop() // must not panic or hang
+			d.Stop(wall)
+			d.Stop(wall) // must not panic or hang
 		})
 	}
 }
@@ -265,7 +270,7 @@ func TestContractStartIsIdempotent(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatalf("second Start errored: %v", err)
 			}
-			d.Stop()
+			d.Stop(wall)
 		})
 	}
 }
@@ -281,7 +286,7 @@ func TestContractEntryNodeWrapsAround(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 			// Entry node beyond NodeCount must not panic: it wraps.
 			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
 			if err := d.Submit(99, tx); err != nil {
@@ -314,7 +319,7 @@ func TestContractFundsConservation(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 
 			const accounts = 6
 			const initial = 1000

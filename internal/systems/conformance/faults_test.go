@@ -106,7 +106,7 @@ func runFaultColumn(t *testing.T, d systems.Driver, down, up func()) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer d.Stop()
+	defer d.Stop(wall)
 
 	var seq uint64
 	var keys []string
@@ -182,7 +182,7 @@ func TestFaultMatrixCrashOneNode(t *testing.T) {
 					}
 				},
 				func() {
-					if err := d.RestartNode(faultNode); err != nil {
+					if err := d.RestartNode(wall, faultNode); err != nil {
 						t.Fatal(err)
 					}
 				},
@@ -203,12 +203,12 @@ func TestFaultMatrixPartitionThenHeal(t *testing.T) {
 			in := faults.NewInjector(d, faults.Schedule{}, nil)
 			runFaultColumn(t, d,
 				func() {
-					if err := in.Apply(faults.Event{Kind: faults.Partition, Group: []int{faultNode}}); err != nil {
+					if err := in.Apply(wall, faults.Event{Kind: faults.Partition, Group: []int{faultNode}}); err != nil {
 						t.Fatal(err)
 					}
 				},
 				func() {
-					if err := in.Apply(faults.Event{Kind: faults.Heal}); err != nil {
+					if err := in.Apply(wall, faults.Event{Kind: faults.Heal}); err != nil {
 						t.Fatal(err)
 					}
 				},
@@ -228,7 +228,7 @@ func TestFaultHooksContract(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 			if err := d.CrashNode(99); err == nil {
 				t.Fatal("CrashNode(99) did not error")
 			}
@@ -239,7 +239,7 @@ func TestFaultHooksContract(t *testing.T) {
 			if err := d.CrashNode(n); !errors.Is(err, systems.ErrNodeDown) {
 				t.Fatalf("CrashNode(NodeCount()) = %v, want ErrNodeDown", err)
 			}
-			if err := d.RestartNode(n); !errors.Is(err, systems.ErrNodeDown) {
+			if err := d.RestartNode(wall, n); !errors.Is(err, systems.ErrNodeDown) {
 				t.Fatalf("RestartNode(NodeCount()) = %v, want ErrNodeDown", err)
 			}
 			wa, ok := d.(faults.WALAccessor)
@@ -257,10 +257,10 @@ func TestFaultHooksContract(t *testing.T) {
 			if err := d.CrashNode(0); err != nil {
 				t.Fatalf("double crash errored: %v", err)
 			}
-			if err := d.RestartNode(0); err != nil {
+			if err := d.RestartNode(wall, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.RestartNode(0); err != nil {
+			if err := d.RestartNode(wall, 0); err != nil {
 				t.Fatalf("restart of a running node errored: %v", err)
 			}
 		})

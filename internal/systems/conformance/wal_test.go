@@ -96,7 +96,7 @@ func TestFaultMatrixCrashWithWAL(t *testing.T) {
 					}
 				},
 				func() {
-					if err := d.RestartNode(faultNode); err != nil {
+					if err := d.RestartNode(wall, faultNode); err != nil {
 						t.Fatal(err)
 					}
 				},
@@ -137,15 +137,15 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 					in := faults.NewInjector(d, faults.Schedule{}, nil)
 					runFaultColumn(t, d,
 						func() {
-							if err := in.Apply(faults.Event{Kind: faults.CrashNode, Node: faultNode}); err != nil {
+							if err := in.Apply(wall, faults.Event{Kind: faults.CrashNode, Node: faultNode}); err != nil {
 								t.Fatal(err)
 							}
-							if err := in.Apply(faults.Event{Kind: kind, Node: faultNode}); err != nil {
+							if err := in.Apply(wall, faults.Event{Kind: kind, Node: faultNode}); err != nil {
 								t.Fatal(err)
 							}
 						},
 						func() {
-							if err := in.Apply(faults.Event{Kind: faults.RestartNode, Node: faultNode}); err != nil {
+							if err := in.Apply(wall, faults.Event{Kind: faults.RestartNode, Node: faultNode}); err != nil {
 								t.Fatal(err)
 							}
 						},
@@ -189,7 +189,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Stop()
+			defer d.Stop(wall)
 
 			var seq uint64
 			var keys []string
@@ -224,7 +224,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := d.RestartNode(faultNode); err != nil {
+				if err := d.RestartNode(wall, faultNode); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -242,7 +242,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			}
 
 			// The second restart completes recovery.
-			if err := d.RestartNode(faultNode); err != nil {
+			if err := d.RestartNode(wall, faultNode); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < batch; i++ {

@@ -248,11 +248,11 @@ func (n *Network) Start() error {
 				defer h.Close()
 				defer n.wg.Done()
 				for {
-					switch i, val, _ := clock.Await(n.cfg.Clock, n.stop, nd.queue); i {
+					switch i, val, _ := h.Await(n.stop, nd.queue); i {
 					case 0:
 						return
 					case 1:
-						n.runFlow(nd, val.(flowJob).tx)
+						n.runFlow(h, nd, val.(flowJob).tx)
 					}
 				}
 			}()
@@ -262,7 +262,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -271,7 +271,7 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	n.wg.Wait()
+	n.wg.Wait(h)
 }
 
 // Submit implements systems.Driver: the flow enqueues on the entry node's
@@ -299,7 +299,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 }
 
 // runFlow executes one flow end to end on the entry node.
-func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
+func (n *Network) runFlow(h clock.Handle, entry *node, tx *chain.Transaction) {
 	started := n.cfg.Clock.Now()
 	// A flow worker picked the job up: the queue wait ends here.
 	tx.Stages.Mark(chain.StageQueue, started)
@@ -307,7 +307,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 
 	// Phase 1: build the UTXO transaction, paying vault-scan costs for
 	// reads and input resolution.
-	utx, readOnly, err := n.buildTransaction(entry, tx, op)
+	utx, readOnly, err := n.buildTransaction(h, entry, tx, op)
 	if err != nil {
 		n.recordFailure(err)
 		return
@@ -338,7 +338,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		mode = notary.Parallel
 	}
 	txID := flowTxID(tx, utx)
-	_, err = notary.CollectSignatures(n.cfg.Clock, mode, parties, txID, func(party string, id crypto.Hash) (crypto.Signature, error) {
+	_, err = notary.CollectSignatures(n.cfg.Clock, h, mode, parties, txID, func(sh clock.Handle, party string, id crypto.Hash) (crypto.Signature, error) {
 		// Corda requires every counterparty's signature: a crashed signer
 		// fails the whole flow, so one node outage halts all write flows —
 		// the flip side of the paper's §6 observation that requiring fewer
@@ -348,7 +348,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		}
 		// One round trip to the counterparty plus its flow processing.
 		rtt := n.cfg.Latency.Delay(entry.ID, party) + n.cfg.Latency.Delay(party, entry.ID)
-		n.cfg.Clock.Sleep(rtt + n.cfg.SignProcessing)
+		sh.Sleep(rtt + n.cfg.SignProcessing)
 		return crypto.Signature{Signer: party, Bytes: n.signers[party].Sign(id.Bytes())}, nil
 	})
 	if err != nil {
@@ -364,7 +364,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// state-consuming flows need the notary).
 	if utx != nil && len(utx.Inputs) > 0 {
 		rtt := n.cfg.Latency.Delay(entry.ID, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.ID)
-		n.cfg.Clock.Sleep(rtt)
+		h.Sleep(rtt)
 		if err := n.notary.Notarise(utx.ID, utx.Inputs); err != nil {
 			n.recordFailure(err) // double spend: flow fails, tx lost
 			return
@@ -408,13 +408,13 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		nd := nd
 		if nd != entry {
 			// State distribution crosses the network once per node.
-			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.ID, nd.ID))
+			h.Sleep(n.cfg.Latency.Delay(entry.ID, nd.ID))
 		}
 		// A node that crashed between signing and finality receives the
 		// states when it restarts (Corda's message-queue redelivery). Each
 		// flow is one WAL record: Corda persists per transaction, not per
 		// block.
-		nd.Gate.Commit(1, func() {
+		nd.Gate.Commit(h, 1, func() {
 			if err := nd.vault.Apply(utx); err != nil {
 				if !failed.Swap(true) {
 					n.recordFailure(err)
@@ -442,7 +442,7 @@ func (n *Network) nodeByID(id string) *node {
 // buildTransaction translates an IEL operation into a UTXO transaction,
 // charging vault scan costs. It returns utx == nil with readOnly == true
 // for pure reads.
-func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.Operation) (*chain.UTXOTransaction, bool, error) {
+func (n *Network) buildTransaction(h clock.Handle, entry *node, tx *chain.Transaction, op chain.Operation) (*chain.UTXOTransaction, bool, error) {
 	switch {
 	case op.IEL == iel.DoNothingName:
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op, nil,
@@ -462,7 +462,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 		// state and reissues it, so concurrent writers of one hot key race
 		// at the notary instead of silently accumulating duplicates.
 		var inputs []chain.StateRef
-		if ref, _, found := n.findStateOpt(entry, "kv", op.Args[0]); found {
+		if ref, _, found := n.findStateOpt(h, entry, "kv", op.Args[0]); found {
 			inputs = []chain.StateRef{ref}
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op, inputs,
@@ -473,7 +473,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 		if len(op.Args) != 1 {
 			return nil, false, fmt.Errorf("corda: Get wants 1 arg")
 		}
-		_, _, found, err := n.scanVault(entry, "kv", op.Args[0])
+		_, _, found, err := n.scanVault(h, entry, "kv", op.Args[0])
 		if err != nil {
 			return nil, true, err
 		}
@@ -496,7 +496,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 		if len(op.Args) != 3 {
 			return nil, false, fmt.Errorf("corda: SendPayment wants 3 args")
 		}
-		ref, st, found, err := n.scanVault(entry, "account", op.Args[0])
+		ref, st, found, err := n.scanVault(h, entry, "account", op.Args[0])
 		if err != nil {
 			return nil, false, err
 		}
@@ -512,7 +512,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 		if len(op.Args) != 1 {
 			return nil, false, fmt.Errorf("corda: Balance wants 1 arg")
 		}
-		_, _, found, err := n.scanVault(entry, "account", op.Args[0])
+		_, _, found, err := n.scanVault(h, entry, "account", op.Args[0])
 		if err != nil {
 			return nil, true, err
 		}
@@ -528,7 +528,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 			return nil, false, fmt.Errorf("corda: TransactSavings wants 2 args")
 		}
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "savings", id)
+		ref, st, err := n.findState(h, entry, "savings", id)
 		if err != nil {
 			return nil, false, err
 		}
@@ -549,7 +549,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 			return nil, false, fmt.Errorf("corda: DepositChecking wants 2 args")
 		}
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "account", id)
+		ref, st, err := n.findState(h, entry, "account", id)
 		if err != nil {
 			return nil, false, err
 		}
@@ -569,11 +569,11 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 			return nil, false, fmt.Errorf("corda: WriteCheck wants 2 args")
 		}
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "account", id)
+		ref, st, err := n.findState(h, entry, "account", id)
 		if err != nil {
 			return nil, false, err
 		}
-		_, sav, err := n.findState(entry, "savings", id)
+		_, sav, err := n.findState(h, entry, "savings", id)
 		if err != nil {
 			return nil, false, err
 		}
@@ -597,15 +597,15 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 			return nil, false, fmt.Errorf("corda: Amalgamate wants 2 args")
 		}
 		src, dst := op.Args[0], op.Args[1]
-		srcChkRef, srcChk, err := n.findState(entry, "account", src)
+		srcChkRef, srcChk, err := n.findState(h, entry, "account", src)
 		if err != nil {
 			return nil, false, err
 		}
-		srcSavRef, srcSav, err := n.findState(entry, "savings", src)
+		srcSavRef, srcSav, err := n.findState(h, entry, "savings", src)
 		if err != nil {
 			return nil, false, err
 		}
-		dstRef, dstChk, err := n.findState(entry, "account", dst)
+		dstRef, dstChk, err := n.findState(h, entry, "account", dst)
 		if err != nil {
 			return nil, false, err
 		}
@@ -628,7 +628,7 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 
 // findStateOpt resolves one vault state for a write flow: like the Set
 // duplicate check it pays the full scan cost without a read budget.
-func (n *Network) findStateOpt(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool) {
+func (n *Network) findStateOpt(h clock.Handle, entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool) {
 	var (
 		outRef chain.StateRef
 		outSt  chain.ContractState
@@ -642,14 +642,14 @@ func (n *Network) findStateOpt(entry *node, kind, key string) (chain.StateRef, c
 		return false
 	})
 	if cost := time.Duration(visited) * n.cfg.ScanCost; cost > 0 {
-		n.cfg.Clock.Sleep(cost)
+		h.Sleep(cost)
 	}
 	return outRef, outSt, found
 }
 
 // findState is findStateOpt for flows whose input must exist.
-func (n *Network) findState(entry *node, kind, key string) (chain.StateRef, chain.ContractState, error) {
-	ref, st, found := n.findStateOpt(entry, kind, key)
+func (n *Network) findState(h clock.Handle, entry *node, kind, key string) (chain.StateRef, chain.ContractState, error) {
+	ref, st, found := n.findStateOpt(h, entry, kind, key)
 	if !found {
 		return chain.StateRef{}, chain.ContractState{}, fmt.Errorf("%w: %q (%s)", iel.ErrAccountNotFound, key, kind)
 	}
@@ -707,10 +707,10 @@ var errScanBudget = fmt.Errorf("corda: vault scan exceeds read budget")
 // visited state — the paper's Corda read pathology. When ReadScanBudget is
 // set and the vault holds more states than the flow can visit within its
 // deadline, the scan is abandoned.
-func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool, error) {
+func (n *Network) scanVault(h clock.Handle, entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool, error) {
 	if b := n.cfg.ReadScanBudget; b > 0 && entry.vault.UnspentCount() > b {
 		// The flow burns its whole budget before giving up.
-		n.cfg.Clock.Sleep(time.Duration(b) * n.cfg.ScanCost)
+		h.Sleep(time.Duration(b) * n.cfg.ScanCost)
 		return chain.StateRef{}, chain.ContractState{}, false, errScanBudget
 	}
 	visited := 0
@@ -727,7 +727,7 @@ func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chai
 		return false
 	})
 	if cost := time.Duration(visited) * n.cfg.ScanCost; cost > 0 {
-		n.cfg.Clock.Sleep(cost)
+		h.Sleep(cost)
 	}
 	return outRef, outSt, found, nil
 }

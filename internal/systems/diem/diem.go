@@ -167,7 +167,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -176,9 +176,9 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	for _, v := range n.validators {
-		v.engine.Stop()
+		v.engine.Stop(h)
 	}
-	n.StopTransport()
+	n.StopTransport(h)
 }
 
 // Submit implements systems.Driver: admission control checks the bounded
@@ -247,12 +247,12 @@ func (n *Network) spiking(v *validator) bool {
 // validator: a crashed validator buffers decided blocks and replays them on
 // restart (Diem's state sync).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(h clock.Handle, d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(proposedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(h, txs, func() { n.applyDecision(v, d) })
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -61,7 +62,7 @@ func newNetwork(t *testing.T, cfg Config) (*Network, *collector) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(n.Stop)
+	t.Cleanup(func() { n.Stop(clock.Handle{}) })
 	return n, col
 }
 
@@ -150,7 +151,7 @@ func TestSpikingCausesAdmissionLosses(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
-		defer n.Stop()
+		defer n.Stop(clock.Handle{})
 		for i := 0; i < 600; i++ {
 			tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
 			_ = n.Submit(0, tx) // all load on one validator
@@ -197,7 +198,7 @@ func TestSubmitAfterStop(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	n.Stop()
+	n.Stop(clock.Handle{})
 	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")

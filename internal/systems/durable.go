@@ -106,15 +106,15 @@ func (g *DurableGate) WAL() *wal.Log {
 }
 
 // Do runs one unit of commit work covering a single entry; see Commit.
-func (g *DurableGate) Do(f func()) { g.Commit(1, f) }
+func (g *DurableGate) Do(h clock.Handle, f func()) { g.Commit(h, 1, f) }
 
 // Commit durably records and then runs one unit of commit work covering
 // `entries` transactions (zero entries — an empty block — still writes a
 // header-only record). When the gate is open and a log is mounted, the
 // record is appended before f runs and the modeled append+fsync latency is
-// charged on the node's clock; when the node is down, the work is buffered
-// for replay, exactly like NodeGate.
-func (g *DurableGate) Commit(entries int, f func()) {
+// charged on the caller's handle h; when the node is down, the work is
+// buffered for replay, exactly like NodeGate.
+func (g *DurableGate) Commit(h clock.Handle, entries int, f func()) {
 	g.mu.Lock()
 	if g.down {
 		g.backlog = append(g.backlog, gateTask{entries, f})
@@ -148,7 +148,7 @@ func (g *DurableGate) Commit(entries int, f func()) {
 			Start: startN, End: startN + int64(res.Latency)})
 	}
 	if res.Latency > 0 {
-		g.clk.Sleep(res.Latency)
+		h.Sleep(res.Latency)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -186,10 +186,11 @@ func (g *DurableGate) Crash() bool {
 
 // Restart recovers the node: replay the log's valid prefix (charging
 // per-record read+CRC cost), re-fetch and re-persist whatever the log lost,
-// then drain the buffered commit work in arrival order and reopen. Returns
-// the number of applied backlog items. Restarting a node that is up or
-// already mid-replay is a no-op.
-func (g *DurableGate) Restart() int {
+// then drain the buffered commit work in arrival order and reopen, charging
+// the recovery cost on the caller's handle h. Returns the number of applied
+// backlog items. Restarting a node that is up or already mid-replay is a
+// no-op.
+func (g *DurableGate) Restart(h clock.Handle) int {
 	g.mu.Lock()
 	if !g.down || g.replaying {
 		g.mu.Unlock()
@@ -205,14 +206,14 @@ func (g *DurableGate) Restart() int {
 		rep := log.Replay()
 		refetch += rep.Lost // a torn/corrupt suffix is re-fetched too
 		if rep.Latency > 0 {
-			g.clk.Sleep(rep.Latency)
+			h.Sleep(rep.Latency)
 		}
 		g.mu.Lock()
 		g.replayedRecords += uint64(rep.Records)
 		g.replaySec += rep.Latency.Seconds()
 		g.mu.Unlock()
 		if refetch > 0 {
-			g.chargeRefetch(log, make([]int, refetch))
+			g.chargeRefetch(h, log, make([]int, refetch))
 		}
 	}
 
@@ -229,7 +230,7 @@ func (g *DurableGate) Restart() int {
 			for i, t := range batch {
 				counts[i] = t.entries
 			}
-			g.chargeRefetch(log, counts)
+			g.chargeRefetch(h, log, counts)
 		}
 
 		aborted := false
@@ -270,11 +271,11 @@ func (g *DurableGate) Restart() int {
 
 // chargeRefetch persists one catch-up batch (bulk append, single forced
 // sync) and charges its modeled persist+network-refetch cost.
-func (g *DurableGate) chargeRefetch(log *wal.Log, counts []int) {
+func (g *DurableGate) chargeRefetch(h clock.Handle, log *wal.Log, counts []int) {
 	res := log.AppendBatch(counts)
 	cost := res.Latency + log.RefetchCost(len(counts))
 	if cost > 0 {
-		g.clk.Sleep(cost)
+		h.Sleep(cost)
 	}
 	g.mu.Lock()
 	g.refetchedRecords += uint64(len(counts))

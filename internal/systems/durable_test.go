@@ -47,19 +47,19 @@ func TestGateDurablePlainPathMatchesNodeGate(t *testing.T) {
 	var g DurableGate
 	var got []int
 	add := func(v int) func() { return func() { got = append(got, v) } }
-	g.Do(add(1))
-	g.Commit(5, add(2))
+	g.Do(clock.Handle{}, add(1))
+	g.Commit(clock.Handle{}, 5, add(2))
 	if !g.Crash() || g.Crash() {
 		t.Fatal("Crash must report true once, then no-op")
 	}
-	g.Do(add(3))
+	g.Do(clock.Handle{}, add(3))
 	if g.Backlog() != 1 {
 		t.Fatalf("backlog = %d, want 1", g.Backlog())
 	}
-	if n := g.Restart(); n != 1 {
+	if n := g.Restart(clock.Handle{}); n != 1 {
 		t.Fatalf("Restart replayed %d, want 1", n)
 	}
-	if g.Restart() != 0 {
+	if g.Restart(clock.Handle{}) != 0 {
 		t.Fatal("Restart on an up node must be a no-op")
 	}
 	for i, v := range got {
@@ -80,14 +80,15 @@ func TestGateDurableReplayCostScalesWithLogLength(t *testing.T) {
 		clk := clock.NewVirtual(time.Unix(0, 0))
 		var g DurableGate
 		g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncAlways}, clk))
+		h := clock.Register(clk, "n0")
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			for i := 0; i < commits; i++ {
-				g.Commit(1, func() {})
+				g.Commit(h, 1, func() {})
 			}
 			g.Crash()
-			g.Restart()
+			g.Restart(h)
 		}()
 		for {
 			select {
@@ -118,13 +119,14 @@ func TestGateDurableCrashLosesUnsyncedTail(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	var g DurableGate
 	g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncBatch, BatchRecords: 4}, clk))
+	h := clock.Register(clk, "n0")
 	done := make(chan RecoveryStats)
 	go func() {
 		for i := 0; i < 6; i++ { // 4 synced, 2 pending
-			g.Commit(1, func() {})
+			g.Commit(h, 1, func() {})
 		}
 		g.Crash()
-		g.Restart()
+		g.Restart(h)
 		done <- g.Stats()
 	}()
 	var st RecoveryStats
@@ -159,7 +161,7 @@ func TestGateDurableCrashDuringReplayStaysDown(t *testing.T) {
 	release := make(chan struct{})
 	for i := 1; i <= 4; i++ {
 		i := i
-		g.Do(func() {
+		g.Do(clock.Handle{}, func() {
 			if i == 1 {
 				close(entered)
 				<-release
@@ -168,7 +170,7 @@ func TestGateDurableCrashDuringReplayStaysDown(t *testing.T) {
 		})
 	}
 	done := make(chan int)
-	go func() { done <- g.Restart() }()
+	go func() { done <- g.Restart(clock.Handle{}) }()
 	<-entered
 	if !g.Crash() {
 		t.Fatal("crash during replay must report true (it interrupts recovery)")
@@ -184,7 +186,7 @@ func TestGateDurableCrashDuringReplayStaysDown(t *testing.T) {
 	if got := g.Backlog(); got != 3 {
 		t.Fatalf("backlog after interrupt = %d, want the 3 unapplied", got)
 	}
-	if n := g.Restart(); n != 3 {
+	if n := g.Restart(clock.Handle{}); n != 3 {
 		t.Fatalf("second Restart applied %d, want 3", n)
 	}
 	for i, v := range got {

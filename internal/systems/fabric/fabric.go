@@ -226,7 +226,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -235,16 +235,16 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	h.Await(n.done)
 	if n.broker != nil {
-		n.broker.Stop()
+		n.broker.Stop(h)
 	}
 	for _, o := range n.orderers {
 		if o.node != nil {
-			o.node.Stop()
+			o.node.Stop(h)
 		}
 	}
-	n.StopTransport()
+	n.StopTransport(h)
 }
 
 // Submit implements systems.Driver: the entry peer endorses (executes) the
@@ -325,7 +325,7 @@ func (n *Network) cutLoop() {
 	lastCut := n.cfg.Clock.Now()
 
 	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, tick); i {
+		switch i, _, _ := h.Await(n.stop, tick); i {
 		case 0:
 			return
 		case 1:
@@ -336,14 +336,14 @@ func (n *Network) cutLoop() {
 					// back; retrying before the next tick would spin without
 					// ever yielding, which under the virtual clock starves
 					// the very election the retry is waiting on.
-					if !n.cut(o, o.ingress.Take(n.cfg.MaxMessageCount)) {
+					if !n.cut(h, o, o.ingress.Take(n.cfg.MaxMessageCount)) {
 						break
 					}
 					lastCut = n.cfg.Clock.Now()
 				}
 				if timedOut {
 					if envs := o.ingress.Take(n.cfg.MaxMessageCount); len(envs) > 0 {
-						n.cut(o, envs)
+						n.cut(h, o, envs)
 						lastCut = n.cfg.Clock.Now()
 					}
 				}
@@ -357,16 +357,16 @@ func (n *Network) cutLoop() {
 
 // cut submits one batch to the ordering service, reporting whether it was
 // accepted.
-func (n *Network) cut(o *orderer, envs []envelope) bool {
+func (n *Network) cut(h clock.Handle, o *orderer, envs []envelope) bool {
 	batch := cutBatch{Envelopes: envs, CutAt: n.cfg.Clock.Now(), Cutter: o.id}
 	var err error
 	if n.broker != nil {
-		err = n.broker.Submit(batch)
+		err = n.broker.Submit(h, batch)
 	} else {
 		// raft.Submit forwards to the leader when this orderer is a
 		// follower. Before an election completes there is no leader to
 		// forward to; put the envelopes back so the next tick retries.
-		err = o.node.Submit(batch)
+		err = o.node.Submit(h, batch)
 	}
 	if err != nil {
 		for _, env := range envs {
@@ -387,19 +387,19 @@ func (n *Network) makeDecideFunc(i int) consensus.DecideFunc {
 	if i != 0 {
 		return nil
 	}
-	return func(d consensus.Decision) {
+	return func(h clock.Handle, d consensus.Decision) {
 		batch, ok := d.Payload.(cutBatch)
 		if !ok {
 			return
 		}
-		n.commitBlock(d.Seq, batch)
+		n.commitBlock(h, d.Seq, batch)
 	}
 }
 
 // commitBlock validates and applies one decided batch on every peer,
 // reporting per-transaction commits to the hub. A crashed peer's gate
 // buffers its share of the work until RestartNode replays it.
-func (n *Network) commitBlock(seq uint64, batch cutBatch) {
+func (n *Network) commitBlock(h clock.Handle, seq uint64, batch cutBatch) {
 	decided := n.cfg.Clock.Now()
 	// Consensus rounds are sampled on the block number: one span per
 	// sampled round, emitted at the single global commit site.
@@ -412,7 +412,7 @@ func (n *Network) commitBlock(seq uint64, batch cutBatch) {
 	}
 	for _, p := range n.peers {
 		p := p
-		p.Gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch) })
+		p.Gate.Commit(h, len(batch.Envelopes), func() { n.commitOnPeer(p, batch) })
 	}
 }
 

@@ -70,7 +70,7 @@ func (k *kafkaBroker) Start() error {
 }
 
 // Stop implements consensus.Engine.
-func (k *kafkaBroker) Stop() {
+func (k *kafkaBroker) Stop(h clock.Handle) {
 	k.mu.Lock()
 	if !k.running {
 		k.mu.Unlock()
@@ -79,13 +79,14 @@ func (k *kafkaBroker) Stop() {
 	k.running = false
 	k.mu.Unlock()
 	k.stop.Close()
-	clock.Await(k.clk, k.done)
+	h.Await(k.done)
 }
 
 // Submit implements consensus.Engine: the payload is appended to the log.
 // Kafka never rejects — its durability is the paper's reason Fabric loses
-// nothing on this backend.
-func (k *kafkaBroker) Submit(payload any) error {
+// nothing on this backend. Sequencing happens on the broker's own actor, so
+// the handle is unused.
+func (k *kafkaBroker) Submit(_ clock.Handle, payload any) error {
 	k.mu.Lock()
 	if !k.running {
 		k.mu.Unlock()
@@ -102,7 +103,7 @@ func (k *kafkaBroker) run() {
 	defer h.Close()
 	defer k.done.Close()
 	for {
-		if i, _, _ := clock.Await(k.clk, k.stop, k.kick); i == 0 {
+		if i, _, _ := h.Await(k.stop, k.kick); i == 0 {
 			return
 		}
 		for {
@@ -121,13 +122,13 @@ func (k *kafkaBroker) run() {
 				// The broker round trip per sequenced batch. A stopped timer
 				// is explicitly drained so no waiter leaks past teardown.
 				t := k.clk.NewTimer(k.overhead)
-				if i, _, _ := clock.Await(k.clk, k.stop, t); i == 0 {
+				if i, _, _ := h.Await(k.stop, t); i == 0 {
 					t.Stop()
 					return
 				}
 			}
 			if k.onDecide != nil {
-				k.onDecide(consensus.Decision{
+				k.onDecide(h, consensus.Decision{
 					Seq:       seq,
 					Payload:   payload,
 					Proposer:  "kafka-broker",

@@ -102,11 +102,11 @@ func (s *NodeSet) AddNode(nd *Node, id string, endpoints ...string) {
 	s.nodes = append(s.nodes, nd)
 }
 
-// StopTransport stops the transport if the set created it; a shared
-// transport belongs to its creator.
-func (s *NodeSet) StopTransport() {
+// StopTransport stops the transport, waiting on the caller's handle h, if
+// the set created it; a shared transport belongs to its creator.
+func (s *NodeSet) StopTransport(h clock.Handle) {
 	if s.ownTransport {
-		s.Transport.Stop()
+		s.Transport.Stop(h)
 	}
 }
 
@@ -137,13 +137,14 @@ func (s *NodeSet) CrashNode(i int) error {
 // RestartNode implements Driver: node i recovers through its gate —
 // replaying its log, then the commits it missed in decision order (the
 // systems' catch-up: deliver service, chain sync, state sync, resync,
-// message-queue redelivery) — and resumes.
-func (s *NodeSet) RestartNode(i int) error {
+// message-queue redelivery) — and resumes. The recovery cost is charged on
+// the caller's handle h.
+func (s *NodeSet) RestartNode(h clock.Handle, i int) error {
 	nd, err := s.node(i)
 	if err != nil {
 		return err
 	}
-	nd.Gate.Restart()
+	nd.Gate.Restart(h)
 	return nil
 }
 

@@ -16,6 +16,8 @@ import (
 // through the gate, and the queue snapshot's mempool callback.
 func TestNodeSetPlaneHooks(t *testing.T) {
 	clk := clock.NewAutoVirtual() // restart sleeps out the modeled replay cost
+	h := clock.Register(clk, "test")
+	defer h.Close()
 	s := NewNodeSet(NodeSetConfig{System: "test", Size: 2, Clock: clk,
 		WAL: &wal.Options{}, MempoolDepth: func() int { return 7 }})
 	var a, b Node
@@ -29,7 +31,7 @@ func TestNodeSetPlaneHooks(t *testing.T) {
 		if err := s.CrashNode(i); !errors.Is(err, ErrNodeDown) {
 			t.Fatalf("CrashNode(%d) = %v, want ErrNodeDown", i, err)
 		}
-		if err := s.RestartNode(i); !errors.Is(err, ErrNodeDown) {
+		if err := s.RestartNode(h, i); !errors.Is(err, ErrNodeDown) {
 			t.Fatalf("RestartNode(%d) = %v, want ErrNodeDown", i, err)
 		}
 		if s.NodeWAL(i) != nil || s.NodeEndpoints(i) != nil {
@@ -49,12 +51,12 @@ func TestNodeSetPlaneHooks(t *testing.T) {
 	if err := s.CrashNode(1); err != nil {
 		t.Fatal(err)
 	}
-	b.Gate.Commit(1, func() {})
+	b.Gate.Commit(h, 1, func() {})
 	qs := s.QueueSnapshot()
 	if qs.MempoolDepth != 7 || qs.GateBacklog != 1 || qs.NetPending != 0 {
 		t.Fatalf("QueueSnapshot = %+v, want MempoolDepth 7, GateBacklog 1, NetPending 0", qs)
 	}
-	if err := s.RestartNode(1); err != nil {
+	if err := s.RestartNode(h, 1); err != nil {
 		t.Fatal(err)
 	}
 	if b.Gate.Down() || s.QueueSnapshot().GateBacklog != 0 {
@@ -70,7 +72,7 @@ func TestNodeSetPlaneHooks(t *testing.T) {
 // transport when none is shared.
 func TestChainSetPreloadVersions(t *testing.T) {
 	s := NewChainSet("test", NodeSetConfig{System: "test", Size: 2, Clock: clock.NewVirtual(clock.SimEpoch)})
-	defer s.StopTransport()
+	defer s.StopTransport(clock.Handle{})
 	var a, b Node
 	s.AddNode(&a, "a")
 	s.AddNode(&b, "b")

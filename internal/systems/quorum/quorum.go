@@ -186,7 +186,7 @@ func (n *Network) Start() error {
 		// use a dedicated endpoint per validator for tx gossip.
 		gossipID := gossipEndpoint(v.ID)
 		v := v
-		n.Transport.Register(gossipID, func(m network.Message) {
+		n.Transport.Register(gossipID, func(_ clock.Handle, m network.Message) {
 			tx, ok := m.Payload.(*chain.Transaction)
 			if !ok {
 				return
@@ -203,7 +203,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -212,12 +212,12 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	h.Await(n.done)
 	for _, v := range n.validators {
-		v.engine.Stop()
+		v.engine.Stop(h)
 		n.Transport.Unregister(gossipEndpoint(v.ID))
 	}
-	n.StopTransport()
+	n.StopTransport(h)
 }
 
 func gossipEndpoint(id string) string { return id + "-gossip" }
@@ -272,7 +272,7 @@ func (n *Network) produceLoop() {
 	tick := n.cfg.Clock.NewTicker(n.cfg.BlockPeriod)
 	defer tick.Stop()
 	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, tick); i {
+		switch i, _, _ := h.Await(n.stop, tick); i {
 		case 0:
 			return
 		case 1:
@@ -280,14 +280,14 @@ func (n *Network) produceLoop() {
 				if !v.engine.IsProposer() {
 					continue
 				}
-				n.produce(v)
+				n.produce(h, v)
 				break
 			}
 		}
 	}
 }
 
-func (n *Network) produce(v *validator) {
+func (n *Network) produce(h clock.Handle, v *validator) {
 	// Livelock latch: at a low block period under a deep backlog, the tx
 	// queue permanently stops being processed (paper §5.5). The node still
 	// participates in consensus and produces empty blocks.
@@ -306,7 +306,7 @@ func (n *Network) produce(v *validator) {
 		txs = v.pool.Take(n.cfg.MaxBlockTxs)
 	}
 	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.ID}
-	if err := v.engine.Submit(blk); err != nil {
+	if err := v.engine.Submit(h, blk); err != nil {
 		if !stalled {
 			// Requeue so the next period retries.
 			for _, tx := range txs {
@@ -326,12 +326,12 @@ func (n *Network) produce(v *validator) {
 // WAL mounted, the block's record is appended before it applies (an empty
 // block still writes a header-only record).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(h clock.Handle, d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(producedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(h, txs, func() { n.applyDecision(v, d) })
 	}
 }
 

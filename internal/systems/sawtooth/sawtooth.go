@@ -191,7 +191,7 @@ func (n *Network) Start() error {
 
 	for i, v := range n.validators {
 		v := v
-		n.Transport.Register(gossipEndpoint(v.ID), func(m network.Message) {
+		n.Transport.Register(gossipEndpoint(v.ID), func(_ clock.Handle, m network.Message) {
 			b, ok := m.Payload.(*chain.Batch)
 			if !ok {
 				return
@@ -208,7 +208,7 @@ func (n *Network) Start() error {
 }
 
 // Stop implements systems.Driver.
-func (n *Network) Stop() {
+func (n *Network) Stop(h clock.Handle) {
 	n.mu.Lock()
 	if !n.running {
 		n.mu.Unlock()
@@ -217,12 +217,12 @@ func (n *Network) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	h.Await(n.done)
 	for _, v := range n.validators {
-		v.engine.Stop()
+		v.engine.Stop(h)
 		n.Transport.Unregister(gossipEndpoint(v.ID))
 	}
-	n.StopTransport()
+	n.StopTransport(h)
 }
 
 func gossipEndpoint(id string) string { return id + "-gossip" }
@@ -297,7 +297,7 @@ func (n *Network) publishLoop() {
 	tick := n.cfg.Clock.NewTicker(n.cfg.BlockPublishingDelay)
 	defer tick.Stop()
 	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, tick); i {
+		switch i, _, _ := h.Await(n.stop, tick); i {
 		case 0:
 			return
 		case 1:
@@ -318,7 +318,7 @@ func (n *Network) publishLoop() {
 					PublishedAt: n.cfg.Clock.Now(),
 					Publisher:   v.ID,
 				}
-				if err := v.engine.Submit(blk); err != nil {
+				if err := v.engine.Submit(h, blk); err != nil {
 					for _, b := range batches {
 						_ = v.queue.Add(b)
 					}
@@ -341,14 +341,14 @@ func (n *Network) publishLoop() {
 // per validator: a crashed validator buffers decided blocks and replays
 // them on restart (Sawtooth's catch-up).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	return func(d consensus.Decision) {
+	return func(h clock.Handle, d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(publishedBlock); ok {
 			for _, b := range blk.Batches {
 				txs += len(b.Txs)
 			}
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(h, txs, func() { n.applyDecision(v, d) })
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
@@ -127,8 +128,9 @@ type Driver interface {
 	Name() string
 	// Start boots all nodes and auxiliary components.
 	Start() error
-	// Stop tears the network down and waits for goroutines to exit.
-	Stop()
+	// Stop tears the network down and waits, on the caller's handle h, for
+	// its goroutines to exit.
+	Stop(h clock.Handle)
 	// Submit sends one transaction into the system through the given entry
 	// node index (clients spread across servers, §4.3). A non-nil error is
 	// an admission rejection; the transaction is lost unless re-sent.
@@ -146,8 +148,9 @@ type Driver interface {
 	// RestartNode recovers a crashed node: it catches up on the commits it
 	// missed, in the order the surviving nodes applied them (modeling the
 	// state-transfer real systems perform on rejoin), and resumes normal
-	// participation. Restarting a node that is not crashed is a no-op.
-	RestartNode(node int) error
+	// participation. Restarting a node that is not crashed is a no-op. The
+	// recovery cost is charged on the caller's handle h.
+	RestartNode(h clock.Handle, node int) error
 }
 
 // Preloader is optionally implemented by drivers that can seed every node's

@@ -48,8 +48,8 @@ func TestActorSpawn(t *testing.T) {
 
 func TestParkLock(t *testing.T) {
 	res := vettest.Run(t, vet.ParkLock, "parklock")
-	if len(res.Findings) < 7 {
-		t.Errorf("want >= 7 parklock findings, got %d", len(res.Findings))
+	if len(res.Findings) < 8 {
+		t.Errorf("want >= 8 parklock findings (incl. Handle.Await and Handle.Sleep), got %d", len(res.Findings))
 	}
 }
 
@@ -57,5 +57,12 @@ func TestGlobalRand(t *testing.T) {
 	res := vettest.Run(t, vet.GlobalRand, "globalrand")
 	if len(res.Findings) < 5 {
 		t.Errorf("want >= 5 globalrand findings, got %d", len(res.Findings))
+	}
+}
+
+func TestGoroutineID(t *testing.T) {
+	res := vettest.Run(t, vet.GoroutineID, "goroutineid")
+	if len(res.Findings) != 5 {
+		t.Errorf("want exactly 5 goroutineid findings (3 stack dumps incl. 1 aliased, 2 handle-less sleeps), got %d", len(res.Findings))
 	}
 }

@@ -51,6 +51,9 @@ func DefaultPolicy() *Policy {
 			// The workload plane is the sanctioned home for RNG-stream
 			// construction.
 			GlobalRand.Name: {"internal/workload"},
+			// The diagnostics allow-list: CLIs own crash and hang reports
+			// (stack dumps) and run on the wall clock.
+			GoroutineID.Name: {"cmd"},
 		},
 		ExcludeFiles: map[string][]string{
 			// resultdb stamps reports with the actual date (not sim

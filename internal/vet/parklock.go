@@ -8,8 +8,8 @@ import (
 
 // ParkLock flags calls that can park on a clock primitive — Gate.Do /
 // Commit / Restart, Mailbox.Recv / Send, Group.Wait, Clock.Sleep,
-// clock.Await, and receives from Timer/Ticker channels — while a
-// sync.Mutex or RWMutex acquired in the same function is still held.
+// Handle.Await / Sleep, and receives from Timer/Ticker channels — while
+// a sync.Mutex or RWMutex acquired in the same function is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
 // twice already (NodeGate replay in PR 7, DurableGate latency charging
 // in PR 8): the parked actor holds the mutex, the actor that would wake
@@ -123,11 +123,8 @@ func classifyCall(pass *Pass, call *ast.CallExpr, held map[string]token.Pos) {
 	}
 	sig, _ := fn.Type().(*types.Signature)
 
-	// Package-level clock.Await.
+	// The clock package has no parking package-level function.
 	if sig != nil && sig.Recv() == nil {
-		if fn.Pkg() != nil && isInternalPkg(fn.Pkg().Path(), "internal/clock") && fn.Name() == "Await" {
-			reportPark(pass, call.Pos(), "clock.Await", held)
-		}
 		return
 	}
 
@@ -155,7 +152,7 @@ func classifyCall(pass *Pass, call *ast.CallExpr, held map[string]token.Pos) {
 	}
 	if fromInternalPkg(named, "internal/clock") {
 		switch fn.Name() {
-		case "Recv", "Send", "Wait", "Sleep":
+		case "Recv", "Send", "Wait", "Sleep", "Await":
 			reportPark(pass, call.Pos(), named.Obj().Name()+"."+fn.Name(), held)
 		}
 	}

@@ -18,21 +18,27 @@ type node struct {
 	stop  *clock.Gate
 }
 
-func (n *node) sendWhileLocked() {
+func (n *node) sendWhileLocked(h clock.Handle) {
 	n.mu.Lock()
-	n.inbox.Send(1, n.stop) // want `Mailbox.Send can park while mutex "n.mu"`
+	n.inbox.Send(h, 1, n.stop) // want `Mailbox.Send can park while mutex "n.mu"`
 	n.mu.Unlock()
 }
 
-func (n *node) deferredUnlock(c clock.Clock, g *clock.Group) {
+func (n *node) deferredUnlock(h clock.Handle, g *clock.Group) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g.Wait() // want `Group.Wait can park while mutex "n.mu"`
+	g.Wait(h) // want `Group.Wait can park while mutex "n.mu"`
 }
 
-func (n *node) awaitUnderRLock(c clock.Clock) {
+func (n *node) handleSleepUnderRLock(h clock.Handle) {
 	n.state.RLock()
-	clock.Await(c, n.stop) // want `clock.Await can park while mutex "n.state"`
+	h.Sleep(1) // want `Handle.Sleep can park while mutex "n.state"`
+	n.state.RUnlock()
+}
+
+func (n *node) awaitUnderRLock(h clock.Handle) {
+	n.state.RLock()
+	h.Await(n.stop) // want `Handle.Await can park while mutex "n.state"`
 	n.state.RUnlock()
 }
 
@@ -50,28 +56,28 @@ func (n *node) timerWaitUnderLock(c clock.Clock) {
 	t.Stop()
 }
 
-func gateWhileLocked(d *systems.DurableGate, mu *sync.Mutex) {
+func gateWhileLocked(h clock.Handle, d *systems.DurableGate, mu *sync.Mutex) {
 	mu.Lock()
-	d.Do(func() {}) // want `DurableGate.Do can park while mutex "mu"`
+	d.Do(h, func() {}) // want `DurableGate.Do can park while mutex "mu"`
 	mu.Unlock()
 }
 
 // Release before parking: no findings.
-func (n *node) releasedFirst(c clock.Clock) {
+func (n *node) releasedFirst(h clock.Handle) {
 	n.mu.Lock()
 	n.mu.Unlock()
-	clock.Await(c, n.stop)
+	h.Await(n.stop)
 }
 
 // An unlock on the early-return path does not release the fall-through
 // path, which still holds the mutex when it parks.
-func (n *node) branchUnlock(c clock.Clock, early bool) {
+func (n *node) branchUnlock(h clock.Handle, early bool) {
 	n.mu.Lock()
 	if early {
 		n.mu.Unlock()
 		return
 	}
-	clock.Await(c, n.stop) // want `clock.Await can park while mutex "n.mu"`
+	h.Await(n.stop) // want `Handle.Await can park while mutex "n.mu"`
 	n.mu.Unlock()
 }
 

@@ -76,6 +76,7 @@ var Analyzers = []*Analyzer{
 	ActorSpawn,
 	ParkLock,
 	GlobalRand,
+	GoroutineID,
 }
 
 // AnalyzerByName resolves a suite member, for //vet:allow validation.
