@@ -141,7 +141,7 @@ func (h Handle) Close() {
 // given name, blocking until it is granted the execution token. On real and
 // plain-virtual clocks it only binds the handle to the clock. Names feed the
 // deterministic timer tie-break and the deadlock diagnostics, so they must
-// be derived from stable identities (node IDs, shard indices), never from
+// be derived from stable identities (node IDs, roles), never from
 // creation order.
 func Register(c Clock, name string) Handle {
 	av, ok := c.(*AutoVirtual)

@@ -109,17 +109,6 @@ func (c *ClientConfig) fill() {
 	}
 }
 
-// inflightShards is the number of lock domains of the client's in-flight
-// transaction index; event deliveries for distinct transactions contend
-// only within a tx-hash-prefix shard.
-const inflightShards = 16
-
-type inflightShard struct {
-	mu sync.Mutex
-	m  map[crypto.Hash]*TxRecord
-	_  [48]byte // pad to one 64-byte cache line
-}
-
 // clientThread is the per-workload-thread state. The records buffer is
 // owned by its sending goroutine (appends are lock-free) and only read
 // after every sender has exited; the counters are updated atomically from
@@ -138,10 +127,13 @@ type Client struct {
 
 	seq     atomic.Uint64
 	closed  atomic.Bool
-	shards  [inflightShards]inflightShard
 	threads []clientThread
 	hist    *LatencyHist
 	stages  StageMetrics
+
+	// inflight indexes submitted, not yet finalized transactions by ID.
+	inflightMu sync.Mutex
+	inflight   map[crypto.Hash]*TxRecord
 
 	// Online repetition summary, streamed as sends and events happen so
 	// phase-end aggregation never walks the full record set.
@@ -164,21 +156,15 @@ type Client struct {
 func NewClient(cfg ClientConfig) *Client {
 	cfg.fill()
 	c := &Client{
-		cfg:     cfg,
-		threads: make([]clientThread, cfg.WorkloadThreads),
-		hist:    NewLatencyHist(),
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[crypto.Hash]*TxRecord)
+		cfg:      cfg,
+		inflight: make(map[crypto.Hash]*TxRecord),
+		threads:  make([]clientThread, cfg.WorkloadThreads),
+		hist:     NewLatencyHist(),
 	}
 	c.firstSendNs.Store(math.MaxInt64)
 	c.lastRecvNs.Store(math.MinInt64)
 	cfg.Driver.Subscribe(cfg.ID, c.onEvent)
 	return c
-}
-
-func (c *Client) shardFor(id crypto.Hash) *inflightShard {
-	return &c.shards[id[0]&(inflightShards-1)]
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
@@ -190,23 +176,22 @@ func (c *Client) onEvent(ev systems.Event) {
 		return
 	}
 	now := c.cfg.Clock.Now()
-	s := c.shardFor(ev.TxID)
-	s.mu.Lock()
-	rec, ok := s.m[ev.TxID]
+	c.inflightMu.Lock()
+	rec, ok := c.inflight[ev.TxID]
 	if !ok {
 		// Unknown or already-finalized transaction: drop.
-		s.mu.Unlock()
+		c.inflightMu.Unlock()
 		return
 	}
-	delete(s.m, ev.TxID)
+	delete(c.inflight, ev.TxID)
 	rec.Received = true
 	rec.ValidOK = ev.ValidOK
 	rec.Code = ev.Code
 	rec.End = now
 	fls := rec.FLS()
-	// The summary contribution is folded in before the shard lock is
-	// released: detach serializes on these locks, so once it completes no
-	// received event can be missing from the online counters.
+	// The summary contribution is folded in before the index lock is
+	// released: detach serializes on it, so once it completes no received
+	// event can be missing from the online counters.
 	c.receivedOps.Add(int64(rec.Ops))
 	if ev.ValidOK {
 		c.validOps.Add(int64(rec.Ops))
@@ -230,10 +215,10 @@ func (c *Client) onEvent(ev systems.Event) {
 	}
 	ops := rec.Ops
 	start := rec.Start
-	s.mu.Unlock()
-	// Stage folding and the timeline update happen outside the shard lock:
-	// both are atomic-only and must not extend the per-shard critical
-	// section. The confirmation instant closes the commit segment.
+	c.inflightMu.Unlock()
+	// Stage folding and the timeline update happen outside the index lock:
+	// both are atomic-only and must not extend the critical section. The
+	// confirmation instant closes the commit segment.
 	if ev.Stages != nil {
 		var buf [chain.NumStages]chain.StageSpan
 		spans := ev.Stages.Durations(start, now, buf[:0])
@@ -337,17 +322,14 @@ func (c *Client) Run(h clock.Handle) []TxRecord {
 }
 
 // detach ends the listening phase: it closes the event path and clears the
-// in-flight index under every shard lock, so no event goroutine can touch a
-// record after this returns and the per-thread buffers can be read without
+// in-flight index under its lock, so no event goroutine can touch a record
+// after this returns and the per-thread buffers can be read without
 // synchronization.
 func (c *Client) detach() {
 	c.closed.Store(true)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[crypto.Hash]*TxRecord)
-		s.mu.Unlock()
-	}
+	c.inflightMu.Lock()
+	c.inflight = make(map[crypto.Hash]*TxRecord)
+	c.inflightMu.Unlock()
 }
 
 // Summary returns the client's online phase aggregation; call after Run.
@@ -482,10 +464,9 @@ func (c *Client) sendBatch(thread int, gen OpGen, idx *uint64, readMax uint64) {
 // finalization event can never outrun its record.
 func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
 	rec := &TxRecord{Start: start, Ops: ops, Thread: thread}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	s.m[id] = rec
-	s.mu.Unlock()
+	c.inflightMu.Lock()
+	c.inflight[id] = rec
+	c.inflightMu.Unlock()
 	if !c.cfg.DiscardRecords {
 		c.threads[thread].records = append(c.threads[thread].records, rec)
 	}

@@ -377,10 +377,8 @@ func TestClientDiscardRecordsKeepsOnlineMetrics(t *testing.T) {
 	}
 	// The in-flight index must be empty after the phase: memory is bounded
 	// by outstanding transactions, not run length.
-	for i := range c.shards {
-		if n := len(c.shards[i].m); n != 0 {
-			t.Fatalf("shard %d still holds %d records after detach", i, n)
-		}
+	if n := len(c.inflight); n != 0 {
+		t.Fatalf("in-flight index still holds %d records after detach", n)
 	}
 }
 

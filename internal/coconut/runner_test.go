@@ -274,14 +274,28 @@ func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
 // bottleneck is named, and the per-stage means sum back to the end-to-end
 // MFLS (the stages partition the finalization window exactly).
 func TestRunStageBreakdownRealAndVirtual(t *testing.T) {
+	runStageBreakdown(t, systems.NameQuorum, func(clk clock.Clock) systems.Driver {
+		return quorum.New(quorum.Config{Clock: clk, BlockPeriod: 10 * time.Millisecond})
+	})
+}
+
+// TestRunStageBreakdownFabric checks the same invariants on Fabric, whose
+// queue stage ends at the orderer's cut rather than at block formation: on
+// the real clock a batch can be decided and confirmed before the cutter's
+// Submit returns, and its payloads must still carry a queue stage.
+func TestRunStageBreakdownFabric(t *testing.T) {
+	runStageBreakdown(t, systems.NameFabric, func(clk clock.Clock) systems.Driver {
+		return fabric.New(fabric.Config{Clock: clk, MaxMessageCount: 20, BatchTimeout: 10 * time.Millisecond})
+	})
+}
+
+func runStageBreakdown(t *testing.T, name string, newDriver func(clock.Clock) systems.Driver) {
 	for _, mode := range []string{"real", "virtual"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			cfg := RunConfig{
-				SystemName: systems.NameQuorum,
-				NewDriver: func(clk clock.Clock) systems.Driver {
-					return quorum.New(quorum.Config{Clock: clk, BlockPeriod: 10 * time.Millisecond})
-				},
+				SystemName:      name,
+				NewDriver:       newDriver,
 				Unit:            []BenchmarkName{BenchKeyValueSet},
 				Clients:         2,
 				RateLimit:       200,

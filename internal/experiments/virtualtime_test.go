@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -25,39 +26,68 @@ func TestVirtualTimeBitDeterminism(t *testing.T) {
 	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60,
 		Repetitions: 1, Seed: 42, Time: "virtual"}
 
-	marshal := func() []byte {
-		t.Helper()
-		oc, err := Run(context.Background(), sc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(oc.Timings) != len(oc.Rows) {
-			t.Fatalf("timings = %d, want one per row (%d)", len(oc.Timings), len(oc.Rows))
-		}
-		for _, tm := range oc.Timings {
-			if tm.SimSeconds <= 0 {
-				t.Fatalf("%s: simulated no time (%+v)", tm.Cell, tm)
-			}
-		}
-		oc.Timings = nil
-		enc, err := json.MarshalIndent(oc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
+	requireSameJSON(t, virtualOutcomeJSON(t, sc, opts), virtualOutcomeJSON(t, sc, opts))
+}
 
-	a, b := marshal(), marshal()
-	if !bytes.Equal(a, b) {
-		// Locate the first divergent line so the failure is debuggable.
-		al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-		for i := range al {
-			if i >= len(bl) || !bytes.Equal(al[i], bl[i]) {
-				t.Fatalf("outcome JSON diverged at line %d:\n  run A: %s\n  run B: %s", i+1, al[i], bl[i])
-			}
-		}
-		t.Fatalf("outcome JSON diverged in length: %d vs %d bytes", len(a), len(b))
+// TestVirtualTimeIndependentOfGOMAXPROCS pins that a virtual-time run does
+// not depend on the host's core count: the engine's actor set and its
+// schedule must be the same at GOMAXPROCS 1 and 4, so Outcome JSON
+// recorded on one machine reproduces on another. All seven systems run.
+func TestVirtualTimeIndependentOfGOMAXPROCS(t *testing.T) {
+	sc, err := ScenarioByName("contention-under-chaos")
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60,
+		Repetitions: 1, Seed: 42, Time: "virtual"}
+
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one := virtualOutcomeJSON(t, sc, opts)
+	runtime.GOMAXPROCS(4)
+	four := virtualOutcomeJSON(t, sc, opts)
+	requireSameJSON(t, one, four)
+}
+
+// virtualOutcomeJSON runs sc under opts and returns its Outcome JSON
+// without Timings, the wall-clock accounting that measures the host
+// machine, not the simulation.
+func virtualOutcomeJSON(t *testing.T, sc Scenario, opts Options) []byte {
+	t.Helper()
+	oc, err := Run(context.Background(), sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oc.Timings) != len(oc.Rows) {
+		t.Fatalf("timings = %d, want one per row (%d)", len(oc.Timings), len(oc.Rows))
+	}
+	for _, tm := range oc.Timings {
+		if tm.SimSeconds <= 0 {
+			t.Fatalf("%s: simulated no time (%+v)", tm.Cell, tm)
+		}
+	}
+	oc.Timings = nil
+	enc, err := json.MarshalIndent(oc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// requireSameJSON fails at the first line where a and b differ, so a
+// divergence is debuggable.
+func requireSameJSON(t *testing.T, a, b []byte) {
+	t.Helper()
+	if bytes.Equal(a, b) {
+		return
+	}
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := range al {
+		if i >= len(bl) || !bytes.Equal(al[i], bl[i]) {
+			t.Fatalf("outcome JSON diverged at line %d:\n  run A: %s\n  run B: %s", i+1, al[i], bl[i])
+		}
+	}
+	t.Fatalf("outcome JSON diverged in length: %d vs %d bytes", len(a), len(b))
 }
 
 // TestVirtualTimeMatchesRealClock cross-checks the two clocks: the same

@@ -5,17 +5,16 @@
 // delay drawn from a configurable LatencyModel, and links can be cut or
 // degraded to emulate partitions and WAN loss.
 //
-// Delivery is scheduled by a sharded hashed timing wheel (wheel.go): each
-// endpoint is pinned to a shard, each shard has one delivery worker, and a
-// send only touches immutable topology snapshots, per-shard atomic
-// counters, and per-link state — there is no globally serialized lock on
-// the hot path. Messages on the same directed link are delivered in send
-// order after their latency delay (the per-connection FIFO property of the
-// TCP links the real deployments rely on); messages on different links
-// order by ready timestamp. Under clock.Virtual the whole fabric is
-// deterministic: latency and loss draws come from seeded per-link sources
-// and each endpoint's delivery order is exactly (ready time, enqueue
-// order).
+// Delivery is scheduled by one queue (queue.go): a (ready time, enqueue
+// order) min-heap under one mutex, drained by one delivery worker. A send
+// reads an immutable topology snapshot, takes its link's FIFO clamp and
+// pushes onto the queue. Messages on the same directed link are delivered
+// in send order after their latency delay (the per-connection FIFO
+// property of the TCP links the real deployments rely on), on the virtual
+// and the real clock alike; messages on different links order by ready
+// timestamp. Under clock.Virtual the whole fabric is deterministic: latency
+// and loss draws come from seeded per-link sources and the delivery order
+// is exactly (ready time, enqueue order), whatever the host's core count.
 package network
 
 import (

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestSchedulerDeterministicUnderVirtualClock: with a virtual clock and
-// constant per-link latencies, the wheel delivers in exact (ready time,
+// constant per-link latencies, the queue delivers in exact (ready time,
 // enqueue order) sequence, reproducibly across runs.
 func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 	run := func() []string {
@@ -116,6 +117,57 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 	defer mu.Unlock()
 	if len(violations) > 0 {
 		t.Fatalf("per-link FIFO violated %d times, e.g. %s", len(violations), violations[0])
+	}
+}
+
+// scriptedLatency returns its delays in order, one per message.
+type scriptedLatency struct{ delays []time.Duration }
+
+func (s *scriptedLatency) Delay(string, string) time.Duration {
+	d := s.delays[0]
+	s.delays = s.delays[1:]
+	return d
+}
+
+// TestQueueFIFOWhenWorkerClockLagsSender scripts the real-clock race that
+// let a later message on a link overtake an earlier one: A is sent while
+// the sender's clock reads 0.5ms and is due at 1ms, B follows on the same
+// link while the sender's clock reads 1.2ms and is due at once, and the
+// worker collects with a clock that still reads 0.6ms. Nothing may leave
+// before A is due, and then A leaves before B. No worker runs: the test
+// drives sendTo and collect itself.
+func TestQueueFIFOWhenWorkerClockLagsSender(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	t0 := time.Unix(0, 0)
+	tr := &Transport{
+		clk:     clock.New(),
+		latency: &scriptedLatency{delays: []time.Duration{500 * time.Microsecond, 0}},
+		t0:      t0,
+	}
+	tr.q = newQueue(tr.clk)
+	ep := &endpoint{name: "dst"}
+	st := &fabricState{endpoints: map[string]*endpoint{"dst": ep}}
+	if err := tr.sendTo(st, "src", ep, "A", nil, t0.Add(500*time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.sendTo(st, "src", ep, "B", nil, t0.Add(1200*time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+
+	batch, next := tr.q.collect(6*ms/10, nil)
+	if len(batch) != 0 {
+		t.Fatalf("collect at 0.6ms returned %s, want nothing before A is due", batch[0].msg.Kind)
+	}
+	if next != ms {
+		t.Fatalf("next due = %dns, want A's %dns", next, ms)
+	}
+	batch, _ = tr.q.collect(ms, nil)
+	if len(batch) != 1 || batch[0].msg.Kind != "A" {
+		t.Fatalf("collect at 1ms returned %d items, want A alone", len(batch))
+	}
+	batch, next = tr.q.collect(12*ms/10, nil)
+	if len(batch) != 1 || batch[0].msg.Kind != "B" || next != math.MaxInt64 {
+		t.Fatalf("collect at 1.2ms returned %d items (next %d), want B and an empty queue", len(batch), next)
 	}
 }
 

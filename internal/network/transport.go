@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,9 +24,8 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run on the transport's
-// delivery workers and must not block indefinitely; h is the delivering
-// worker's clock handle, for handlers that hand the message on through a
-// clock primitive.
+// delivery worker and must not block indefinitely; h is the worker's clock
+// handle, for handlers that hand the message on through a clock primitive.
 type Handler func(h clock.Handle, m Message)
 
 // Errors returned by Transport operations.
@@ -37,25 +35,23 @@ var (
 	ErrStopped         = errors.New("network: transport stopped")
 )
 
-// Transport is the in-process message fabric. Delivery is driven by a
-// sharded timing-wheel scheduler (see wheel.go): Send computes a ready time
-// from the latency model plus any link degradation, clamps it so messages
-// on the same directed link never reorder (TCP's per-connection FIFO
-// property the real deployments rely on), and enqueues into the destination
-// endpoint's shard. A small pool of workers — one per shard — drains due
-// messages in timestamp order.
+// Transport is the in-process message fabric. Delivery is driven by one
+// scheduled-message queue (see queue.go): Send computes a ready time from
+// the latency model plus any link degradation, clamps it so messages on
+// the same directed link never reorder (TCP's per-connection FIFO property
+// the real deployments rely on), and pushes onto the queue. One delivery
+// worker drains due messages in (ready time, enqueue order).
 //
-// The hot path is engineered for zero contention between unrelated senders:
-// topology and fault state (endpoints, cut links, degradations) live in an
-// immutable snapshot swapped atomically by the mutating operations, send
-// and delivery counters are per-shard padded atomics, loss randomness is
-// drawn from per-link seeded RNGs, and handlers are resolved through an
-// atomic pointer set at registration. No global lock is taken by Send,
-// Broadcast, or the delivery workers.
+// Topology and fault state (endpoints, cut links, degradations) live in an
+// immutable snapshot swapped atomically by the mutating operations, loss
+// randomness is drawn from per-link seeded RNGs, and handlers are resolved
+// through an atomic pointer set at registration. A send takes two locks,
+// its link's FIFO clamp and the queue's mutex; under the virtual clock one
+// actor runs at a time, so neither contends.
 type Transport struct {
 	clk     clock.Clock
 	latency LatencyModel
-	t0      time.Time // wheel epoch; ready times are nanoseconds since t0
+	t0      time.Time // queue epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
 
 	state atomic.Pointer[fabricState]
@@ -66,9 +62,11 @@ type Transport struct {
 	// scheduled delivery, per-link ordinal sampling).
 	tracer atomic.Pointer[tracerInfo]
 
-	shards []*shard
-	wg     *clock.Group
-	stop   *clock.Gate
+	q    *queue
+	wg   *clock.Group
+	stop *clock.Gate
+
+	sent, delivered, dropped, lost atomic.Uint64
 }
 
 // fabricState is the immutable topology/fault snapshot. Mutators clone it
@@ -122,7 +120,6 @@ type Degradation struct {
 // pending tracks queue occupancy for overflow accounting.
 type endpoint struct {
 	name    string
-	sh      *shard
 	handler atomic.Pointer[Handler]
 	pending atomic.Int64
 	closed  atomic.Bool
@@ -155,24 +152,10 @@ func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
 		cut:       make(map[linkKey]bool),
 		degraded:  make(map[linkKey]Degradation),
 	})
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 2 {
-		n = 2
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	t.shards = make([]*shard, shards)
-	clock.Fork(clk, shards)
-	for i := range t.shards {
-		t.shards[i] = newShard(clk)
-		t.wg.Add(1)
-		go t.worker(i, t.shards[i])
-	}
+	t.q = newQueue(clk)
+	clock.Fork(clk, 1)
+	t.wg.Add(1)
+	go t.worker()
 	return t
 }
 
@@ -199,7 +182,7 @@ func (t *Transport) SetTracer(tr *trace.Tracer, proc string) {
 }
 
 // PendingCount reports messages scheduled but not yet delivered, summed
-// over every endpoint's queue — the timing wheel's in-flight backlog, and
+// over every endpoint's queue — the delivery queue's in-flight backlog, and
 // the telemetry plane's netPending gauge.
 func (t *Transport) PendingCount() int64 {
 	var n int64
@@ -207,11 +190,6 @@ func (t *Transport) PendingCount() int64 {
 		n += ep.pending.Load()
 	}
 	return n
-}
-
-// shardFor pins an endpoint name to a shard (FNV-1a hash).
-func (t *Transport) shardFor(name string) *shard {
-	return t.shards[fnvAdd(fnvOffset64, name)&uint64(len(t.shards)-1)]
 }
 
 func (t *Transport) link(k linkKey) *linkState {
@@ -236,7 +214,7 @@ func (t *Transport) Register(name string, h Handler) {
 		ep.handler.Store(&hp)
 		return
 	}
-	ep := &endpoint{name: name, sh: t.shardFor(name)}
+	ep := &endpoint{name: name}
 	hp := h
 	ep.handler.Store(&hp)
 	ns := st.clone()
@@ -342,25 +320,24 @@ func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind stri
 		}
 	}
 
-	sh := ep.sh
-	sh.stats.sent.Add(1)
+	t.sent.Add(1)
 	if lost {
 		// Lossy link: the message vanishes in flight. The sender sees a
 		// successful send, as it would on a real network.
-		sh.stats.dropped.Add(1)
-		sh.stats.lost.Add(1)
+		t.dropped.Add(1)
+		t.lost.Add(1)
 		return nil
 	}
 	if ep.pending.Add(1) > endpointQueueDepth {
 		ep.pending.Add(-1)
-		sh.stats.dropped.Add(1)
+		t.dropped.Add(1)
 		return fmt.Errorf("network: endpoint %q queue full", ep.name)
 	}
 	it := itemPool.Get().(*item)
 	it.msg = Message{From: from, To: ep.name, Kind: kind, Payload: payload, SentAt: now}
 	it.ep = ep
 	it.readyNanos = readyN
-	sh.enqueue(it, nowN)
+	t.q.enqueue(it)
 	return nil
 }
 
@@ -463,25 +440,14 @@ func (t *Transport) DegradedCount() int { return len(t.state.Load().degraded) }
 
 // LostCount reports messages lost to link degradation (a subset of the
 // dropped counter in Stats).
-func (t *Transport) LostCount() uint64 {
-	var lost uint64
-	for _, sh := range t.shards {
-		lost += sh.stats.lost.Load()
-	}
-	return lost
-}
+func (t *Transport) LostCount() uint64 { return t.lost.Load() }
 
-// Stats reports send/delivery counters summed across the shards.
+// Stats reports the send, delivery and drop counters.
 func (t *Transport) Stats() (sent, delivered, dropped uint64) {
-	for _, sh := range t.shards {
-		sent += sh.stats.sent.Load()
-		delivered += sh.stats.delivered.Load()
-		dropped += sh.stats.dropped.Load()
-	}
-	return sent, delivered, dropped
+	return t.sent.Load(), t.delivered.Load(), t.dropped.Load()
 }
 
-// Stop shuts down the delivery workers and waits for them to exit; h is
+// Stop shuts down the delivery worker and waits for it to exit; h is
 // the caller's clock handle. Queued messages are dropped (uncounted),
 // matching a fabric torn down mid-flight.
 func (t *Transport) Stop(h clock.Handle) {

@@ -374,9 +374,6 @@ func (n *Network) cut(h clock.Handle, o *orderer, envs []envelope) bool {
 		}
 		return false
 	}
-	for _, env := range envs {
-		env.Tx.Stages.Mark(chain.StageQueue, batch.CutAt)
-	}
 	return true
 }
 
@@ -407,7 +404,11 @@ func (n *Network) commitBlock(h clock.Handle, seq uint64, batch cutBatch) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
 			Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: seq})
 	}
+	// The queue stage ends at the cut; it is stamped here, not after
+	// Submit returns, because on the real clock the batch can be decided
+	// and confirmed before Submit returns.
 	for _, env := range batch.Envelopes {
+		env.Tx.Stages.Mark(chain.StageQueue, batch.CutAt)
 		env.Tx.Stages.Mark(chain.StageConsensus, decided)
 	}
 	for _, p := range n.peers {

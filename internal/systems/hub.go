@@ -1,58 +1,32 @@
 package systems
 
 import (
-	"encoding/binary"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
-// Shard-plane defaults. Shard count must be a power of two so the tx-hash
-// prefix maps to a shard with a mask instead of a modulo.
-const (
-	// DefaultShards is the number of independent lock domains. Commit
-	// notifications for different transactions contend only when their
-	// hashes share a prefix, so the hot path scales with cores.
-	DefaultShards = 32
-	// DefaultEmittedRetention bounds the per-shard tombstone set that
-	// suppresses late duplicate reports after a transaction has emitted.
-	// Older tombstones are pruned FIFO, so hub memory stays constant over
-	// arbitrarily long runs instead of growing with every transaction.
-	DefaultEmittedRetention = 1 << 14
-)
+// emittedRetention bounds the tombstone set that suppresses late
+// duplicate reports after a transaction has emitted. Older tombstones are
+// pruned FIFO, so hub memory stays constant over arbitrarily long runs
+// instead of growing with every transaction.
+const emittedRetention = 1 << 19
 
 // Hub aggregates per-node commit notifications and fires the end-to-end
 // finalization event once every node in the network has persisted a
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// Internally the hub is sharded by transaction-hash prefix: each shard has
-// its own lock, pending set, and bounded emitted-tombstone ring, and node
-// identities are interned once into dense indices so per-transaction
-// tracking is a bitset rather than a map of node-ID strings. Aggregate
-// counters are atomics, not map scans.
+// One mutex guards the pending set and the bounded emitted-tombstone
+// ring; under the virtual clock one actor runs at a time, so it never
+// contends. Node identities are interned once into dense indices so
+// per-transaction tracking is a bitset rather than a map of node-ID
+// strings.
 type Hub struct {
 	nodes     int
-	shardMask uint64
-	shards    []hubShard
 	retention int
 
-	subsMu sync.RWMutex
-	subs   map[string]EventFunc
-
-	nodeMu  sync.RWMutex
-	nodeIdx map[string]*HubNode
-
-	pendingN atomic.Int64
-	emittedN atomic.Int64
-}
-
-// hubShard is one lock domain of the hub. The pad keeps neighbouring shards
-// off the same cache line under heavy cross-core commit traffic.
-type hubShard struct {
 	mu      sync.Mutex
 	pending map[crypto.Hash]*pendingTx
 	// emitted holds tombstones for recently finalized transactions so late
@@ -60,7 +34,13 @@ type hubShard struct {
 	emitted  map[crypto.Hash]struct{}
 	emitQ    []crypto.Hash
 	emitHead int
-	_        [8]byte // pad the 56-byte struct to one 64-byte cache line
+	emittedN int // lifetime count; never pruned
+
+	subsMu sync.RWMutex
+	subs   map[string]EventFunc
+
+	nodeMu  sync.RWMutex
+	nodeIdx map[string]*HubNode
 }
 
 // pendingTx tracks which nodes persisted one transaction, as a bitset over
@@ -84,58 +64,16 @@ func (p *pendingTx) mark(idx int) bool {
 	return true
 }
 
-// HubOption customizes hub construction.
-type HubOption func(*Hub)
-
-// WithShards sets the shard count; values are rounded up to a power of two.
-// One shard reproduces the pre-sharding global-lock behaviour (useful for
-// benchmarking the measurement-plane overhead).
-func WithShards(n int) HubOption {
-	return func(h *Hub) {
-		if n < 1 {
-			n = 1
-		}
-		if n&(n-1) != 0 {
-			n = 1 << bits.Len(uint(n))
-		}
-		h.shards = make([]hubShard, n)
-		h.shardMask = uint64(n - 1)
-	}
-}
-
-// WithEmittedRetention sets how many finalized-transaction tombstones each
-// shard retains for duplicate suppression before pruning the oldest.
-func WithEmittedRetention(n int) HubOption {
-	return func(h *Hub) {
-		if n < 1 {
-			n = 1
-		}
-		h.retention = n
-	}
-}
-
 // NewHub creates a hub for a network of the given node count.
-func NewHub(nodes int, opts ...HubOption) *Hub {
-	h := &Hub{
+func NewHub(nodes int) *Hub {
+	return &Hub{
 		nodes:     nodes,
+		retention: emittedRetention,
+		pending:   make(map[crypto.Hash]*pendingTx),
+		emitted:   make(map[crypto.Hash]struct{}),
 		subs:      make(map[string]EventFunc),
 		nodeIdx:   make(map[string]*HubNode),
-		retention: DefaultEmittedRetention,
 	}
-	WithShards(DefaultShards)(h)
-	for _, opt := range opts {
-		opt(h)
-	}
-	for i := range h.shards {
-		h.shards[i].pending = make(map[crypto.Hash]*pendingTx)
-		h.shards[i].emitted = make(map[crypto.Hash]struct{})
-	}
-	return h
-}
-
-// shardFor selects the lock domain from the transaction-hash prefix.
-func (h *Hub) shardFor(id crypto.Hash) *hubShard {
-	return &h.shards[binary.BigEndian.Uint64(id[:8])&h.shardMask]
 }
 
 // Subscribe registers fn as the listener for events whose Client matches.
@@ -190,30 +128,27 @@ func (n *HubNode) ID() string { return n.id }
 // ev; semantics match Hub.NodeCommitted.
 func (n *HubNode) Committed(ev Event, at time.Time) {
 	h := n.hub
-	s := h.shardFor(ev.TxID)
 
-	s.mu.Lock()
-	if _, done := s.emitted[ev.TxID]; done {
-		s.mu.Unlock()
+	h.mu.Lock()
+	if _, done := h.emitted[ev.TxID]; done {
+		h.mu.Unlock()
 		return
 	}
-	p, ok := s.pending[ev.TxID]
+	p, ok := h.pending[ev.TxID]
 	if !ok {
 		p = &pendingTx{event: ev, seen: make([]uint64, (h.nodes+63)/64)}
-		s.pending[ev.TxID] = p
-		h.pendingN.Add(1)
+		h.pending[ev.TxID] = p
 	}
 	if !p.mark(n.idx) || p.count < h.nodes {
-		s.mu.Unlock()
+		h.mu.Unlock()
 		return
 	}
-	// Final node: emit exactly once. The transition happens under the shard
+	// Final node: emit exactly once. The transition happens under the hub
 	// lock, the callback runs outside every lock.
-	delete(s.pending, ev.TxID)
-	s.tombstone(ev.TxID, h.retention)
-	s.mu.Unlock()
-	h.pendingN.Add(-1)
-	h.emittedN.Add(1)
+	delete(h.pending, ev.TxID)
+	h.tombstone(ev.TxID)
+	h.emittedN++
+	h.mu.Unlock()
 
 	out := p.event
 	out.FinalizedAt = at
@@ -221,17 +156,17 @@ func (n *HubNode) Committed(ev Event, at time.Time) {
 }
 
 // tombstone records an emitted transaction for duplicate suppression,
-// pruning the oldest entry once the shard's retention window is full.
-// Caller holds the shard lock.
-func (s *hubShard) tombstone(id crypto.Hash, retention int) {
-	s.emitted[id] = struct{}{}
-	if len(s.emitQ) < retention {
-		s.emitQ = append(s.emitQ, id)
+// pruning the oldest entry once the retention window is full. Caller holds
+// h.mu.
+func (h *Hub) tombstone(id crypto.Hash) {
+	h.emitted[id] = struct{}{}
+	if len(h.emitQ) < h.retention {
+		h.emitQ = append(h.emitQ, id)
 		return
 	}
-	delete(s.emitted, s.emitQ[s.emitHead])
-	s.emitQ[s.emitHead] = id
-	s.emitHead = (s.emitHead + 1) % retention
+	delete(h.emitted, h.emitQ[h.emitHead])
+	h.emitQ[h.emitHead] = id
+	h.emitHead = (h.emitHead + 1) % h.retention
 }
 
 func (h *Hub) deliver(ev Event) {
@@ -252,25 +187,24 @@ func (h *Hub) EmitDirect(ev Event, at time.Time) {
 
 // PendingCount reports transactions persisted on some but not all nodes.
 func (h *Hub) PendingCount() int {
-	return int(h.pendingN.Load())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending)
 }
 
 // EmittedCount reports fully finalized transactions over the hub's
 // lifetime. Unlike the tombstone set, the counter is never pruned.
 func (h *Hub) EmittedCount() int {
-	return int(h.emittedN.Load())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.emittedN
 }
 
 // TombstoneCount reports how many duplicate-suppression tombstones are
-// currently retained across all shards; it is bounded by
-// shards × retention regardless of run length.
+// currently retained; it is bounded by the retention window regardless of
+// run length.
 func (h *Hub) TombstoneCount() int {
-	total := 0
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		total += len(s.emitted)
-		s.mu.Unlock()
-	}
-	return total
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.emitted)
 }

@@ -10,15 +10,17 @@ import (
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
-// benchHubCommits drives a full commit cycle (every node reports every
+// BenchmarkHubCommit drives a full commit cycle (every node reports every
 // transaction) through a hub from GOMAXPROCS goroutines, one per node,
 // mimicking the per-validator commit loops of the system drivers.
-func benchHubCommits(b *testing.B, shards int) {
+// Run it at -cpu 1 for the shape of virtual time, where one actor runs at
+// a time.
+func BenchmarkHubCommit(b *testing.B) {
 	nodes := runtime.GOMAXPROCS(0)
 	if nodes < 2 {
 		nodes = 2
 	}
-	h := NewHub(nodes, WithShards(shards))
+	h := NewHub(nodes)
 	h.Subscribe("c", func(Event) {})
 
 	ids := make([]crypto.Hash, b.N)
@@ -49,12 +51,3 @@ func benchHubCommits(b *testing.B, shards int) {
 		b.Fatalf("emitted %d, want %d", got, b.N)
 	}
 }
-
-// BenchmarkHubCommitSingleShard reproduces the pre-refactor measurement
-// plane: one global lock domain, every node-commit of every system
-// serialized through it.
-func BenchmarkHubCommitSingleShard(b *testing.B) { benchHubCommits(b, 1) }
-
-// BenchmarkHubCommitSharded is the refactored hot path: commits contend
-// only within a tx-hash-prefix shard.
-func BenchmarkHubCommitSharded(b *testing.B) { benchHubCommits(b, DefaultShards) }

@@ -101,7 +101,7 @@ func TestHubEmitDirect(t *testing.T) {
 	}
 }
 
-// TestHubManyTransactionsConcurrentExactlyOnce hammers the sharded hub
+// TestHubManyTransactionsConcurrentExactlyOnce hammers the hub
 // with interleaved commits for many transactions from many goroutines and
 // checks every transaction emits exactly once (run under -race).
 func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
@@ -150,11 +150,12 @@ func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 }
 
 // TestHubTombstoneRetentionBounded checks the fix for the seed's unbounded
-// emitted-map growth: tombstones are pruned FIFO per shard, so memory stays
-// constant while the lifetime emitted counter keeps increasing.
+// emitted-map growth: tombstones are pruned FIFO, so memory stays constant
+// while the lifetime emitted counter keeps increasing.
 func TestHubTombstoneRetentionBounded(t *testing.T) {
 	const retention = 8
-	h := NewHub(1, WithShards(1), WithEmittedRetention(retention))
+	h := NewHub(1)
+	h.retention = retention
 	for i := 0; i < 100; i++ {
 		ev := Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c"}
 		h.NodeCommitted("n0", ev, time.Unix(int64(i), 0))
@@ -197,17 +198,6 @@ func TestHubNodeHandleInterning(t *testing.T) {
 	h.Node("b").Committed(ev, time.Unix(3, 0))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
-// TestHubWithShardsRoundsToPowerOfTwo documents the shard-mask invariant.
-func TestHubWithShardsRoundsToPowerOfTwo(t *testing.T) {
-	h := NewHub(1, WithShards(5))
-	if len(h.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(h.shards))
-	}
-	if h.shardMask != 7 {
-		t.Fatalf("mask = %d, want 7", h.shardMask)
 	}
 }
 

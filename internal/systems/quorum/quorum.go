@@ -315,9 +315,6 @@ func (n *Network) produce(h clock.Handle, v *validator) {
 		}
 		return
 	}
-	for _, tx := range txs {
-		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
-	}
 }
 
 // makeDecideFunc builds the order-execute commit pipeline for validator v.
@@ -354,6 +351,10 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
 	}
 	for txNum, tx := range blk.Txs {
+		// The queue stage ends when the block was formed; it is stamped
+		// here, not after Submit returns, because on the real clock the
+		// block can be decided and confirmed before Submit returns.
+		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 		tx.Stages.Mark(chain.StageConsensus, now)
 		execErr := executeTx(tx, v.State, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())

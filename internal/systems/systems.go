@@ -206,7 +206,7 @@ type QueueStats struct {
 	// across nodes: what a crash right now would lose.
 	WALUnsynced int
 	// NetPending is the transport's scheduled-but-undelivered message
-	// count (the timing wheel's backlog).
+	// count (the delivery queue's backlog).
 	NetPending int64
 }
 
